@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cr_linear::WorkBudget;
+use cr_rational::Rational;
 use cr_trace::{Counter, RunReport, Tracer};
 
 use crate::error::{CrError, CrResult};
@@ -541,6 +542,10 @@ impl WorkBudget for Budget {
     fn note_tableau(&self, rows: usize, cols: usize) {
         note_tableau_metrics(&self.tracer, rows, cols);
     }
+
+    fn note_peak_entries(&self, entries: usize) {
+        self.note_allocation(tableau_bytes(entries));
+    }
 }
 
 /// A view of a [`Budget`] that books solver work under an enclosing
@@ -562,6 +567,10 @@ impl WorkBudget for StageBudget<'_> {
     fn note_tableau(&self, rows: usize, cols: usize) {
         note_tableau_metrics(&self.budget.tracer, rows, cols);
     }
+
+    fn note_peak_entries(&self, entries: usize) {
+        self.budget.note_allocation(tableau_bytes(entries));
+    }
 }
 
 /// One solver entry announces one tableau: count the solve and track peak
@@ -570,6 +579,13 @@ fn note_tableau_metrics(tracer: &Tracer, rows: usize, cols: usize) {
     tracer.add(Counter::SimplexSolves, 1);
     tracer.record_max(Counter::MaxTableauRows, rows as u64);
     tracer.record_max(Counter::MaxTableauCols, cols as u64);
+}
+
+/// The allocation estimate for a simplex tableau that stored `entries`
+/// `(column, value)` pairs at once: each entry's inline size. The limbs
+/// behind each rational live on the heap and are not counted.
+fn tableau_bytes(entries: usize) -> u64 {
+    (entries * std::mem::size_of::<(usize, Rational)>()) as u64
 }
 
 /// A [`WorkBudget`] that never refuses work but meters it into a
@@ -594,6 +610,11 @@ impl WorkBudget for TracerMeter<'_> {
 
     fn note_tableau(&self, rows: usize, cols: usize) {
         note_tableau_metrics(self.tracer, rows, cols);
+    }
+
+    fn note_peak_entries(&self, entries: usize) {
+        self.tracer
+            .record_max(Counter::PeakAllocBytes, tableau_bytes(entries));
     }
 }
 
@@ -713,6 +734,24 @@ mod tests {
     }
 
     #[test]
+    fn allocation_estimate_follows_stored_tableau_entries() {
+        use cr_linear::{solve_governed, Cmp, LinExpr, LinSystem};
+        // x_i <= 1 for n variables: n structural and n slack columns, but
+        // only two stored entries per row, and the slack basis needs no
+        // pivot to change that.
+        let n = 12;
+        let mut sys = LinSystem::new();
+        for x in sys.add_nonneg_vars(n) {
+            sys.push(LinExpr::var(x), Cmp::Le, Rational::one());
+        }
+        let b = Budget::unlimited();
+        let solved = solve_governed(&sys, &b.stage(Stage::Fixpoint)).unwrap();
+        assert!(solved.is_feasible());
+        assert_eq!(b.peak_allocation_estimate(), tableau_bytes(2 * n));
+        assert!(b.peak_allocation_estimate() < tableau_bytes(n * 2 * n));
+    }
+
+    #[test]
     fn run_report_joins_budget_and_tracer() {
         use cr_trace::NullSink;
         let tracer = Tracer::new(Box::new(NullSink));
@@ -747,8 +786,10 @@ mod tests {
         assert!(meter.consume(1_000_000_000));
         assert!(meter.consume(1));
         meter.note_tableau(3, 4);
+        meter.note_peak_entries(5);
         assert_eq!(tracer.counter(Counter::SimplexPivots), 1_000_000_001);
         assert_eq!(tracer.counter(Counter::SimplexSolves), 1);
+        assert_eq!(tracer.counter(Counter::PeakAllocBytes), tableau_bytes(5));
     }
 
     #[test]

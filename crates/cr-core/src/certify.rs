@@ -142,8 +142,10 @@ pub fn certify_reasoner(reasoner: &Reasoner<'_>, budget: &Budget) -> CrResult<Ce
     }
 
     // Differential oracle on small expansions: the literal Theorem 3.4
-    // enumeration must agree with the fixpoint on every class.
+    // enumeration must agree with the fixpoint on every class. The classes
+    // share one system, so each `Ψ_Z` is solved once for all of them.
     let schema = reasoner.schema();
+    let mut memo = zenum::ZMemo::default();
     for class in schema.classes() {
         let claimed = reasoner.is_class_satisfiable(class);
         if !claimed {
@@ -151,8 +153,13 @@ pub fn certify_reasoner(reasoner: &Reasoner<'_>, budget: &Budget) -> CrResult<Ce
                 .unsat_classes
                 .push(schema.class_name(class).to_string());
         }
-        match zenum::satisfiable_by_z_enumeration_governed(reasoner.expansion(), sys, class, budget)
-        {
+        match zenum::satisfiable_by_z_enumeration_memo(
+            reasoner.expansion(),
+            sys,
+            class,
+            budget,
+            &mut memo,
+        ) {
             Ok(oracle) => {
                 report.differential_classes += 1;
                 check(

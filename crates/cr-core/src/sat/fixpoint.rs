@@ -92,8 +92,6 @@ pub(crate) fn support_by_max_lp(
             lin.push(e, Cmp::Ge, Rational::zero());
             objective.add_term(t, Rational::one());
         }
-        // Rough tableau footprint: one rational (~2 small bigints) per cell.
-        budget.note_allocation((lin.num_vars() * lin.constraints().len()) as u64 * 16);
         let outcome = match optimize_governed(
             &lin,
             &objective,

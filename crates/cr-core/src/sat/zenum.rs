@@ -11,6 +11,8 @@
 //! kept as an independently-implemented oracle for the fixpoint engine
 //! (property-tested equal) and as the E3 ablation baseline.
 
+use std::collections::HashMap;
+
 use cr_linear::{solve_governed, Cmp, LinExpr, LinearError};
 use cr_rational::Rational;
 
@@ -46,6 +48,27 @@ pub fn satisfiable_by_z_enumeration_governed(
     class: ClassId,
     budget: &Budget,
 ) -> CrResult<bool> {
+    satisfiable_by_z_enumeration_memo(exp, sys, class, budget, &mut ZMemo::default())
+}
+
+/// Feasibility of each `Ψ_Z` probed so far, by the subset `Z` as a bitmask.
+/// `Ψ_Z` does not mention the class being decided, so a caller deciding
+/// several classes of one system passes one memo and solves each `Ψ_Z` at
+/// most once.
+#[derive(Debug, Default)]
+pub(crate) struct ZMemo(HashMap<u64, bool>);
+
+/// [`satisfiable_by_z_enumeration_governed`] reusing the `Ψ_Z` verdicts in
+/// `memo`, which must come from calls on the same `sys`. Every subset
+/// visited is still charged and counted; only the repeated simplex probes
+/// are skipped.
+pub(crate) fn satisfiable_by_z_enumeration_memo(
+    exp: &Expansion<'_>,
+    sys: &CrSystem,
+    class: ClassId,
+    budget: &Budget,
+    memo: &mut ZMemo,
+) -> CrResult<bool> {
     let n_cc = sys.cclass_vars.len();
     if n_cc > MAX_Z_UNKNOWNS {
         return Err(CrError::ZEnumerationTooLarge { unknowns: n_cc });
@@ -68,33 +91,44 @@ pub fn satisfiable_by_z_enumeration_governed(
         if containing.iter().all(|&cc| in_z(cc)) {
             continue;
         }
-        let mut lin = sys.lin.clone();
-        for cc in 0..n_cc {
-            if in_z(cc) {
-                lin.push(LinExpr::var(sys.cclass_vars[cc]), Cmp::Eq, Rational::zero());
-            } else {
-                lin.push(LinExpr::var(sys.cclass_vars[cc]), Cmp::Ge, Rational::one());
+        let feasible = match memo.0.get(&z) {
+            Some(&feasible) => feasible,
+            None => {
+                let feasible = psi_z_feasible(sys, z, budget)?;
+                memo.0.insert(z, feasible);
+                feasible
             }
-        }
-        for (ri, deps) in sys.deps.iter().enumerate() {
-            if deps.iter().any(|&cc| in_z(cc)) {
-                lin.push(LinExpr::var(sys.crel_vars[ri]), Cmp::Eq, Rational::zero());
-            }
-        }
-        match solve_governed(&lin, &budget.stage(Stage::ZEnumeration)) {
-            Ok(feasibility) => {
-                if feasibility.is_feasible() {
-                    return Ok(true);
-                }
-            }
-            Err(LinearError::Interrupted) => return Err(budget.exceeded_err(Stage::ZEnumeration)),
-            Err(LinearError::FaultInjected { site }) => {
-                return Err(CrError::FaultInjected { site })
-            }
-            Err(e) => unreachable!("feasibility probe cannot reject the system: {e}"),
+        };
+        if feasible {
+            return Ok(true);
         }
     }
     Ok(false)
+}
+
+/// Whether `Ψ_Z` has a solution, `Z` given as a bitmask over the
+/// compound-class unknowns.
+fn psi_z_feasible(sys: &CrSystem, z: u64, budget: &Budget) -> CrResult<bool> {
+    let in_z = |cc: usize| z & (1 << cc) != 0;
+    let mut lin = sys.lin.clone();
+    for (cc, &var) in sys.cclass_vars.iter().enumerate() {
+        if in_z(cc) {
+            lin.push(LinExpr::var(var), Cmp::Eq, Rational::zero());
+        } else {
+            lin.push(LinExpr::var(var), Cmp::Ge, Rational::one());
+        }
+    }
+    for (ri, deps) in sys.deps.iter().enumerate() {
+        if deps.iter().any(|&cc| in_z(cc)) {
+            lin.push(LinExpr::var(sys.crel_vars[ri]), Cmp::Eq, Rational::zero());
+        }
+    }
+    match solve_governed(&lin, &budget.stage(Stage::ZEnumeration)) {
+        Ok(feasibility) => Ok(feasibility.is_feasible()),
+        Err(LinearError::Interrupted) => Err(budget.exceeded_err(Stage::ZEnumeration)),
+        Err(LinearError::FaultInjected { site }) => Err(CrError::FaultInjected { site }),
+        Err(e) => unreachable!("feasibility probe cannot reject the system: {e}"),
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +171,31 @@ mod tests {
         let sys = CrSystem::build(&exp);
         assert!(satisfiable_by_z_enumeration(&exp, &sys, a).unwrap());
         assert!(satisfiable_by_z_enumeration(&exp, &sys, x).unwrap());
+    }
+
+    /// One memo across every class gives each class the verdict of a
+    /// fresh enumeration, and a class decided again probes nothing new.
+    #[test]
+    fn shared_memo_keeps_verdicts_and_probes_each_subset_once() {
+        let schema = figure1();
+        let exp = Expansion::build(&schema, &ExpansionConfig::default()).unwrap();
+        let sys = CrSystem::build(&exp);
+        let budget = Budget::unlimited();
+        let mut memo = ZMemo::default();
+        for class in schema.classes() {
+            let shared =
+                satisfiable_by_z_enumeration_memo(&exp, &sys, class, &budget, &mut memo).unwrap();
+            assert_eq!(
+                shared,
+                satisfiable_by_z_enumeration(&exp, &sys, class).unwrap()
+            );
+        }
+        let probed = memo.0.len();
+        assert!(probed > 0);
+        for class in schema.classes() {
+            satisfiable_by_z_enumeration_memo(&exp, &sys, class, &budget, &mut memo).unwrap();
+        }
+        assert_eq!(memo.0.len(), probed);
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub trait WorkBudget {
     /// record peak problem sizes without this crate depending on their
     /// metrics machinery.
     fn note_tableau(&self, _rows: usize, _cols: usize) {}
+
+    /// Observability hook: once per solve that built a tableau, whether or
+    /// not it finished, the solver reports the most `(column, value)`
+    /// entries its tableau rows stored at once. Rows are sparse, so this —
+    /// not rows × columns — is the tableau's size in exact rationals.
+    /// Purely informational, like [`note_tableau`](Self::note_tableau).
+    fn note_peak_entries(&self, _entries: usize) {}
 }
 
 /// The budget that never runs out — used by the ungoverned entry points
@@ -48,6 +55,10 @@ impl<B: WorkBudget + ?Sized> WorkBudget for &B {
 
     fn note_tableau(&self, rows: usize, cols: usize) {
         (**self).note_tableau(rows, cols);
+    }
+
+    fn note_peak_entries(&self, entries: usize) {
+        (**self).note_peak_entries(entries);
     }
 }
 

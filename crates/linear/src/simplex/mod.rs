@@ -1,6 +1,8 @@
 //! Conversion of [`LinSystem`]s to standard form and the public solver
 //! entry points.
 
+#[cfg(test)]
+mod reference;
 mod tableau;
 
 use cr_rational::Rational;
@@ -9,8 +11,8 @@ use crate::budget::{Unlimited, WorkBudget};
 use crate::error::LinearError;
 use crate::expr::{LinExpr, VarId};
 use crate::solution::{Feasibility, Solution};
-use crate::system::{Cmp, LinSystem, VarKind};
-use tableau::{PivotOutcome, Tableau};
+use crate::system::{Cmp, Constraint, LinSystem, VarKind};
+use tableau::{PivotOutcome, Row, Tableau};
 
 /// Optimization direction for [`optimize`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,6 +55,11 @@ struct StandardForm {
 /// variable `t ∈ [0, 1]` is introduced, strict rows are relaxed by `t`
 /// (`< rhs` becomes `+ t <= rhs`, `> rhs` becomes `- t >= rhs`), and the
 /// caller is expected to maximize `t`.
+///
+/// Columns are laid out as structural (user variables, then `t`), then one
+/// slack per inequality row, then one artificial per row whose slack cannot
+/// seed the basis. Each row's entries are pushed in that order, so they come
+/// out sorted by column without a sort.
 fn build_standard_form(sys: &LinSystem, with_t: bool) -> StandardForm {
     // --- structural columns ---
     let mut next_col = 0usize;
@@ -76,110 +83,81 @@ fn build_standard_form(sys: &LinSystem, with_t: bool) -> StandardForm {
     });
     let struct_cols = next_col;
 
-    // --- assemble rows over structural columns, tracking op and rhs ---
-    struct RawRow {
-        coeffs: Vec<Rational>,
-        cmp: Cmp, // Le / Ge / Eq only after strict relaxation
-        rhs: Rational,
-    }
-    let mut raw: Vec<RawRow> = Vec::with_capacity(sys.constraints().len() + 1);
-    for c in sys.constraints() {
-        let mut coeffs = vec![Rational::zero(); struct_cols];
+    // --- rows over structural columns, strict rows relaxed by t ---
+    let structural = |c: &Constraint| {
+        // `LinExpr` iterates by variable and stores no zeros, so the
+        // entries are distinct and increasing by column.
+        let mut entries = Vec::with_capacity(2 * c.expr.len() + 3);
         for (v, coef) in c.expr.iter() {
             let (pos, neg) = col_of[v.index()];
-            coeffs[pos] += coef;
+            entries.push((pos, coef.clone()));
             if let Some(neg) = neg {
-                coeffs[neg] -= coef;
+                entries.push((neg, -coef));
             }
         }
         let cmp = match c.cmp {
-            Cmp::Le => Cmp::Le,
-            Cmp::Ge => Cmp::Ge,
-            Cmp::Eq => Cmp::Eq,
             Cmp::Lt => {
                 let t = t_col.expect("strict row without t variable");
-                coeffs[t] += Rational::one();
+                entries.push((t, Rational::one()));
                 Cmp::Le
             }
             Cmp::Gt => {
                 let t = t_col.expect("strict row without t variable");
-                coeffs[t] -= Rational::one();
+                entries.push((t, -Rational::one()));
                 Cmp::Ge
             }
+            cmp => cmp,
         };
-        raw.push(RawRow {
-            coeffs,
-            cmp,
-            rhs: c.rhs.clone(),
-        });
-    }
-    if let Some(t) = t_col {
-        // t <= 1 keeps the phase-2 objective bounded.
-        let mut coeffs = vec![Rational::zero(); struct_cols];
-        coeffs[t] = Rational::one();
-        raw.push(RawRow {
-            coeffs,
-            cmp: Cmp::Le,
-            rhs: Rational::one(),
-        });
-    }
+        (entries, cmp, c.rhs.clone())
+    };
+    // t <= 1 keeps the phase-2 objective bounded.
+    let t_row = t_col.map(|t| (vec![(t, Rational::one())], Cmp::Le, Rational::one()));
 
     // --- add slacks, normalize RHS sign, decide basis / artificials ---
-    let n_slack = raw
+    let n_rows = sys.constraints().len() + usize::from(with_t);
+    let n_slack = sys
+        .constraints()
         .iter()
-        .filter(|r| matches!(r.cmp, Cmp::Le | Cmp::Ge))
-        .count();
-    // Worst case every row needs an artificial.
-    let max_cols = struct_cols + n_slack + raw.len();
-    let mut rows: Vec<Vec<Rational>> = Vec::with_capacity(raw.len());
-    let mut basis: Vec<usize> = Vec::with_capacity(raw.len());
+        .filter(|c| c.cmp != Cmp::Eq)
+        .count()
+        + usize::from(with_t);
+    let art_start = struct_cols + n_slack;
+    let mut rows = Vec::with_capacity(n_rows);
+    let mut basis = Vec::with_capacity(n_rows);
     let mut slack_cursor = struct_cols;
-    let mut art_cursor = struct_cols + n_slack;
-    for r in &mut raw {
-        let mut row = std::mem::take(&mut r.coeffs);
-        row.resize(max_cols + 1, Rational::zero());
-        let negate = r.rhs.is_negative();
-        let mut slack_col = None;
-        match r.cmp {
-            Cmp::Le => {
-                row[slack_cursor] = Rational::one();
-                slack_col = Some(slack_cursor);
-                slack_cursor += 1;
-            }
-            Cmp::Ge => {
-                row[slack_cursor] = -Rational::one();
-                slack_col = Some(slack_cursor);
-                slack_cursor += 1;
-            }
-            Cmp::Eq => {}
+    let mut art_cursor = art_start;
+    for (mut entries, cmp, mut rhs) in sys.constraints().iter().map(structural).chain(t_row) {
+        let slack = match cmp {
+            Cmp::Le => Some(Rational::one()),
+            Cmp::Ge => Some(-Rational::one()),
+            Cmp::Eq => None,
             Cmp::Lt | Cmp::Gt => unreachable!("strict rows relaxed above"),
+        };
+        let slack_col = slack.map(|coef| {
+            entries.push((slack_cursor, coef));
+            slack_cursor += 1;
+            slack_cursor - 1
+        });
+        if rhs.is_negative() {
+            for (_, v) in &mut entries {
+                *v = -&*v;
+            }
+            rhs = -rhs;
         }
-        *row.last_mut().expect("row has rhs cell") = r.rhs.clone();
-        if negate {
-            for v in row.iter_mut() {
-                *v = -v.clone();
+        // The slack (the last entry so far) can seed the basis iff its
+        // coefficient ended up +1.
+        match slack_col.filter(|_| entries.last().is_some_and(|(_, v)| v.is_positive())) {
+            Some(s) => basis.push(s),
+            None => {
+                entries.push((art_cursor, Rational::one()));
+                basis.push(art_cursor);
+                art_cursor += 1;
             }
         }
-        // The slack can seed the basis iff its coefficient ended up +1.
-        let slack_basic = slack_col.filter(|&s| row[s] == Rational::one()).is_some();
-        if slack_basic {
-            basis.push(slack_col.expect("slack column present"));
-        } else {
-            row[art_cursor] = Rational::one();
-            basis.push(art_cursor);
-            art_cursor += 1;
-        }
-        rows.push(row);
+        rows.push(Row { entries, rhs });
     }
 
-    // Trim unused artificial columns.
     let ncols = art_cursor;
-    for row in &mut rows {
-        let rhs = row[max_cols].clone();
-        row.truncate(ncols);
-        row.push(rhs);
-    }
-    let art_start = struct_cols + n_slack;
     StandardForm {
         col_of,
         t_col,
@@ -214,6 +192,60 @@ impl StandardForm {
         }
         out
     }
+
+    /// Decides feasibility of `sys`, whose standard form this is. With a
+    /// strictness slack `t`, phase 2 maximizes `t` and the strict rows hold
+    /// iff it ends positive.
+    fn feasibility(
+        &mut self,
+        sys: &LinSystem,
+        budget: &dyn WorkBudget,
+    ) -> Result<Feasibility, LinearError> {
+        if !self.tableau.phase_one(budget)? {
+            return Ok(Feasibility::Infeasible);
+        }
+        if let Some(t) = self.t_col {
+            let mut objective = vec![Rational::zero(); self.ncols];
+            objective[t] = -Rational::one(); // maximize t == minimize -t
+            let outcome = self.tableau.phase_two(&objective, budget)?;
+            debug_assert_eq!(outcome, PivotOutcome::Optimal, "t <= 1 bounds phase 2");
+            if !self.tableau.column_value(t).is_positive() {
+                return Ok(Feasibility::Infeasible);
+            }
+        }
+        let sol = self.extract(sys);
+        debug_assert_eq!(sys.check(sol.values()), Ok(()));
+        Ok(Feasibility::Feasible(sol))
+    }
+
+    /// Optimizes `objective` over `sys`, whose standard form this is (built
+    /// without a strictness slack).
+    fn optimum(
+        &mut self,
+        sys: &LinSystem,
+        objective: &LinExpr,
+        direction: Direction,
+        budget: &dyn WorkBudget,
+    ) -> Result<OptOutcome, LinearError> {
+        if !self.tableau.phase_one(budget)? {
+            return Ok(OptOutcome::Infeasible);
+        }
+        let mut cols = self.expand_objective(objective);
+        if direction == Direction::Maximize {
+            for c in &mut cols {
+                *c = -c.clone();
+            }
+        }
+        match self.tableau.phase_two(&cols, budget)? {
+            PivotOutcome::Unbounded => Ok(OptOutcome::Unbounded),
+            PivotOutcome::Optimal => {
+                let solution = self.extract(sys);
+                debug_assert_eq!(sys.check(solution.values()), Ok(()));
+                let value = objective.eval(solution.values());
+                Ok(OptOutcome::Optimal { value, solution })
+            }
+        }
+    }
 }
 
 /// Decides feasibility of `sys` exactly, returning a rational witness when
@@ -240,35 +272,11 @@ pub fn solve_governed(
     cr_faults::point!("linear.tableau", |_| Err(LinearError::FaultInjected {
         site: "linear.tableau"
     }));
-    if !sys.has_strict() {
-        let mut sf = build_standard_form(sys, false);
-        budget.note_tableau(sf.tableau.num_rows(), sf.ncols);
-        return if sf.tableau.phase_one(budget)? {
-            let sol = sf.extract(sys);
-            debug_assert_eq!(sys.check(sol.values()), Ok(()));
-            Ok(Feasibility::Feasible(sol))
-        } else {
-            Ok(Feasibility::Infeasible)
-        };
-    }
-    // Strict rows present: maximize the uniform strictness slack t.
-    let mut sf = build_standard_form(sys, true);
+    let mut sf = build_standard_form(sys, sys.has_strict());
     budget.note_tableau(sf.tableau.num_rows(), sf.ncols);
-    if !sf.tableau.phase_one(budget)? {
-        return Ok(Feasibility::Infeasible);
-    }
-    let t = sf.t_col.expect("strict path always has t");
-    let mut objective = vec![Rational::zero(); sf.ncols];
-    objective[t] = -Rational::one(); // maximize t == minimize -t
-    let outcome = sf.tableau.phase_two(&objective, budget)?;
-    debug_assert_eq!(outcome, PivotOutcome::Optimal, "t <= 1 bounds phase 2");
-    if sf.tableau.column_value(t).is_positive() {
-        let sol = sf.extract(sys);
-        debug_assert_eq!(sys.check(sol.values()), Ok(()));
-        Ok(Feasibility::Feasible(sol))
-    } else {
-        Ok(Feasibility::Infeasible)
-    }
+    let outcome = sf.feasibility(sys, budget);
+    budget.note_peak_entries(sf.tableau.peak_entries());
+    outcome
 }
 
 /// Optimizes `objective` over the feasible region of `sys`.
@@ -300,24 +308,9 @@ pub fn optimize_governed(
     }));
     let mut sf = build_standard_form(sys, false);
     budget.note_tableau(sf.tableau.num_rows(), sf.ncols);
-    if !sf.tableau.phase_one(budget)? {
-        return Ok(OptOutcome::Infeasible);
-    }
-    let mut cols = sf.expand_objective(objective);
-    if direction == Direction::Maximize {
-        for c in &mut cols {
-            *c = -c.clone();
-        }
-    }
-    match sf.tableau.phase_two(&cols, budget)? {
-        PivotOutcome::Unbounded => Ok(OptOutcome::Unbounded),
-        PivotOutcome::Optimal => {
-            let solution = sf.extract(sys);
-            debug_assert_eq!(sys.check(solution.values()), Ok(()));
-            let value = objective.eval(solution.values());
-            Ok(OptOutcome::Optimal { value, solution })
-        }
-    }
+    let outcome = sf.optimum(sys, objective, direction, budget);
+    budget.note_peak_entries(sf.tableau.peak_entries());
+    outcome
 }
 
 #[cfg(test)]

@@ -1,8 +1,22 @@
-//! Dense exact-rational simplex tableau with Bland's anti-cycling rule.
+//! Sparse exact-rational simplex tableau with Bland's anti-cycling rule.
 //!
 //! The tableau solves problems already in standard form:
 //! `min c·y  s.t.  A y = b,  y >= 0,  b >= 0`, with an initial basis of
 //! artificial (and lucky slack) columns supplied by the caller.
+//!
+//! Each constraint row stores only its nonzero `(column, value)` entries, in
+//! increasing column order, plus its right-hand side. Ψ_S rows carry a few
+//! ±1 and small-bound coefficients, and every exact operation allocates and
+//! normalizes by a gcd, so pivots, the ratio test and pricing touch stored
+//! entries only. The reduced-cost row stays dense: pricing scans it for the
+//! first negative entry.
+//!
+//! The pivot rule is Bland's, exactly as in the dense tableau this replaced
+//! (kept as the test reference in `reference.rs`). Sparsity changes which
+//! cells are visited, never which pivot is chosen, so every solve takes the
+//! same pivot sequence and yields the same basis. That turns exactness into
+//! a test — identical pivots and witnesses on random systems — rather than
+//! an argument.
 
 use cr_rational::Rational;
 
@@ -19,10 +33,61 @@ pub(super) enum PivotOutcome {
     Unbounded,
 }
 
+/// One constraint row: `Σ entries = rhs`.
+#[derive(Default)]
+pub(super) struct Row {
+    /// Nonzero coefficients, strictly increasing by column.
+    pub(super) entries: Vec<(usize, Rational)>,
+    pub(super) rhs: Rational,
+}
+
+impl Row {
+    /// The coefficient in column `col`, if nonzero.
+    fn coeff(&self, col: usize) -> Option<&Rational> {
+        self.entries
+            .binary_search_by_key(&col, |&(j, _)| j)
+            .ok()
+            .map(|k| &self.entries[k].1)
+    }
+
+    /// `self -= factor · pivot`, merging the two sorted entry lists and
+    /// dropping entries that cancel. `spare` is an empty buffer that becomes
+    /// the new entry list; the old list's buffer is handed back through it.
+    fn sub_scaled(&mut self, factor: &Rational, pivot: &Row, spare: &mut Vec<(usize, Rational)>) {
+        let mut old = std::mem::replace(&mut self.entries, std::mem::take(spare));
+        let mut mine = old.drain(..).peekable();
+        for (j, p) in &pivot.entries {
+            while let Some(entry) = mine.next_if(|(k, _)| k < j) {
+                self.entries.push(entry);
+            }
+            let delta = factor * p;
+            match mine.next_if(|(k, _)| k == j) {
+                Some((_, v)) => {
+                    let v = v - delta;
+                    if !v.is_zero() {
+                        self.entries.push((*j, v));
+                    }
+                }
+                None => self.entries.push((*j, -delta)),
+            }
+        }
+        self.entries.extend(mine);
+        *spare = old;
+        self.rhs -= factor * &pivot.rhs;
+    }
+
+    /// `dense -= scale · self` on a dense row whose last cell holds the
+    /// right-hand side.
+    fn sub_scaled_from(&self, scale: &Rational, dense: &mut [Rational]) {
+        for (j, v) in &self.entries {
+            dense[*j] -= scale * v;
+        }
+        *dense.last_mut().expect("dense row has an rhs cell") -= scale * &self.rhs;
+    }
+}
+
 pub(super) struct Tableau {
-    /// Row-major constraint matrix; each row has `ncols + 1` entries, the
-    /// last being the right-hand side.
-    rows: Vec<Vec<Rational>>,
+    rows: Vec<Row>,
     /// `basis[i]` is the column currently basic in row `i`.
     basis: Vec<usize>,
     /// Reduced-cost row (`ncols + 1` entries; the last is minus the current
@@ -34,21 +99,28 @@ pub(super) struct Tableau {
     /// the basis once phase 1 completes.
     art_start: usize,
     phase_one_done: bool,
+    /// The most row entries stored at once so far.
+    peak_entries: usize,
+    /// Empty entry buffer recycled by [`Row::sub_scaled`].
+    spare: Vec<(usize, Rational)>,
+    /// Every (entering, leaving) column pair pivoted on, in order.
+    #[cfg(test)]
+    pub(super) pivots: Vec<(usize, usize)>,
 }
 
 impl Tableau {
-    /// Builds a tableau from prepared rows. Every `rows[i]` must have
-    /// `ncols + 1` entries with a nonnegative RHS, and `basis[i]` must index
-    /// a column whose entry in row `i` is `1` and `0` elsewhere.
-    pub(super) fn new(
-        rows: Vec<Vec<Rational>>,
-        basis: Vec<usize>,
-        ncols: usize,
-        art_start: usize,
-    ) -> Self {
+    /// Builds a tableau from prepared rows. Every row must have a
+    /// nonnegative RHS and sorted nonzero entries below `ncols`, and
+    /// `basis[i]` must index a column whose entry in row `i` is `1` and
+    /// which no other row stores.
+    pub(super) fn new(rows: Vec<Row>, basis: Vec<usize>, ncols: usize, art_start: usize) -> Self {
         debug_assert_eq!(rows.len(), basis.len());
-        debug_assert!(rows.iter().all(|r| r.len() == ncols + 1));
-        debug_assert!(rows.iter().all(|r| !r[ncols].is_negative()));
+        debug_assert!(rows.iter().all(|r| {
+            !r.rhs.is_negative()
+                && r.entries.windows(2).all(|w| w[0].0 < w[1].0)
+                && r.entries.iter().all(|(j, v)| *j < ncols && !v.is_zero())
+        }));
+        let peak_entries = rows.iter().map(|r| r.entries.len()).sum();
         Tableau {
             rows,
             basis,
@@ -56,12 +128,22 @@ impl Tableau {
             ncols,
             art_start,
             phase_one_done: false,
+            peak_entries,
+            spare: Vec::new(),
+            #[cfg(test)]
+            pivots: Vec::new(),
         }
     }
 
     /// Number of constraint rows currently in the tableau.
     pub(super) fn num_rows(&self) -> usize {
         self.rows.len()
+    }
+
+    /// The most row entries the tableau has stored at once — its size in
+    /// exact rationals, which fill-in during pivots can grow.
+    pub(super) fn peak_entries(&self) -> usize {
+        self.peak_entries
     }
 
     /// Runs phase 1 (minimize the sum of artificial variables). Returns
@@ -77,21 +159,12 @@ impl Tableau {
             // No artificials: the supplied slack basis is already feasible.
             return Ok(true);
         }
-        // Objective: sum of artificial columns. Express it over the
-        // nonbasic columns by subtracting every artificial-basic row.
+        // Objective: sum of artificial columns.
         let mut cost = vec![Rational::zero(); self.ncols + 1];
         for c in &mut cost[self.art_start..self.ncols] {
             *c = Rational::one();
         }
-        for (row, &b) in self.rows.iter().zip(&self.basis) {
-            if !cost[b].is_zero() {
-                let scale = cost[b].clone();
-                for (c, r) in cost.iter_mut().zip(row) {
-                    *c -= &scale * r;
-                }
-            }
-        }
-        self.cost = cost;
+        self.install_cost(cost);
 
         let outcome = self.pivot_loop(self.ncols, budget)?; // artificials may enter in phase 1
         debug_assert_eq!(
@@ -117,16 +190,20 @@ impl Tableau {
         assert!(self.phase_one_done, "phase_two before phase_one");
         let mut cost = vec![Rational::zero(); self.ncols + 1];
         cost[..objective.len()].clone_from_slice(objective);
+        self.install_cost(cost);
+        self.pivot_loop(self.art_start, budget)
+    }
+
+    /// Expresses `cost` over the nonbasic columns by subtracting every row
+    /// whose basic column it charges, and makes it the reduced-cost row.
+    fn install_cost(&mut self, mut cost: Vec<Rational>) {
         for (row, &b) in self.rows.iter().zip(&self.basis) {
             if !cost[b].is_zero() {
                 let scale = cost[b].clone();
-                for (c, r) in cost.iter_mut().zip(row) {
-                    *c -= &scale * r;
-                }
+                row.sub_scaled_from(&scale, &mut cost);
             }
         }
         self.cost = cost;
-        self.pivot_loop(self.art_start, budget)
     }
 
     /// The current objective value (meaningful after a phase).
@@ -138,7 +215,7 @@ impl Tableau {
     pub(super) fn column_value(&self, j: usize) -> Rational {
         for (i, &b) in self.basis.iter().enumerate() {
             if b == j {
-                return self.rows[i][self.ncols].clone();
+                return self.rows[i].rhs.clone();
             }
         }
         Rational::zero()
@@ -166,12 +243,11 @@ impl Tableau {
                 return Ok(PivotOutcome::Optimal);
             };
             let mut leave: Option<(usize, Rational)> = None;
-            for i in 0..self.rows.len() {
-                let a = &self.rows[i][enter];
-                if !a.is_positive() {
+            for (i, row) in self.rows.iter().enumerate() {
+                let Some(a) = row.coeff(enter).filter(|a| a.is_positive()) else {
                     continue;
-                }
-                let ratio = &self.rows[i][self.ncols] / a;
+                };
+                let ratio = &row.rhs / a;
                 match &leave {
                     None => leave = Some((i, ratio)),
                     Some((best_i, best)) => {
@@ -191,32 +267,31 @@ impl Tableau {
 
     /// Pivots: column `enter` becomes basic in `row`.
     fn pivot(&mut self, row: usize, enter: usize) {
-        let pivot = self.rows[row][enter].clone();
-        debug_assert!(!pivot.is_zero(), "pivot on zero entry");
-        let inv = pivot.recip();
-        for v in self.rows[row].iter_mut() {
+        let mut pivot_row = std::mem::take(&mut self.rows[row]);
+        let inv = pivot_row
+            .coeff(enter)
+            .expect("pivot on a stored (nonzero) entry")
+            .recip();
+        for (_, v) in &mut pivot_row.entries {
             *v *= &inv;
         }
-        let pivot_row = self.rows[row].clone();
-        for i in 0..self.rows.len() {
-            if i == row {
-                continue;
-            }
-            let factor = self.rows[i][enter].clone();
-            if factor.is_zero() {
-                continue;
-            }
-            for (v, p) in self.rows[i].iter_mut().zip(&pivot_row) {
-                *v -= &factor * p;
+        pivot_row.rhs *= &inv;
+        // The pivot row was taken out, so it stores no entry in `enter`.
+        for r in &mut self.rows {
+            if let Some(factor) = r.coeff(enter).cloned() {
+                r.sub_scaled(&factor, &pivot_row, &mut self.spare);
             }
         }
         let factor = self.cost[enter].clone();
         if !factor.is_zero() {
-            for (c, p) in self.cost.iter_mut().zip(&pivot_row) {
-                *c -= &factor * p;
-            }
+            pivot_row.sub_scaled_from(&factor, &mut self.cost);
         }
+        self.rows[row] = pivot_row;
+        #[cfg(test)]
+        self.pivots.push((enter, self.basis[row]));
         self.basis[row] = enter;
+        let stored = self.rows.iter().map(|r| r.entries.len()).sum();
+        self.peak_entries = self.peak_entries.max(stored);
     }
 
     /// Drives any artificial variable still basic (necessarily at value 0)
@@ -228,15 +303,16 @@ impl Tableau {
                 i += 1;
                 continue;
             }
-            debug_assert!(self.rows[i][self.ncols].is_zero());
+            debug_assert!(self.rows[i].rhs.is_zero());
             // A degenerate pivot (rhs = 0) is feasibility-preserving on any
-            // nonzero entry, positive or negative.
-            match (0..self.art_start).find(|&j| !self.rows[i][j].is_zero()) {
-                Some(j) => {
+            // nonzero entry, positive or negative. Entries are sorted, so
+            // the first one is the smallest nonzero column.
+            match self.rows[i].entries.first() {
+                Some(&(j, _)) if j < self.art_start => {
                     self.pivot(i, j);
                     i += 1;
                 }
-                None => {
+                _ => {
                     // 0 = 0 row: the original constraint was redundant.
                     self.rows.swap_remove(i);
                     self.basis.swap_remove(i);
@@ -255,30 +331,46 @@ mod tests {
         Rational::from_int(n)
     }
 
+    /// A tableau from dense integer rows whose last cell is the RHS.
+    fn tableau(dense: &[&[i64]], basis: Vec<usize>, ncols: usize, art_start: usize) -> Tableau {
+        let rows = dense
+            .iter()
+            .map(|cells| {
+                let (rhs, coeffs) = cells.split_last().expect("row has an rhs cell");
+                Row {
+                    entries: (0..ncols)
+                        .filter(|&j| coeffs[j] != 0)
+                        .map(|j| (j, r(coeffs[j])))
+                        .collect(),
+                    rhs: r(*rhs),
+                }
+            })
+            .collect();
+        Tableau::new(rows, basis, ncols, art_start)
+    }
+
     /// x + y = 2 with artificial a:   [1, 1, 1 | 2], basis {a}.
     #[test]
     fn phase_one_finds_feasible_basis() {
-        let rows = vec![vec![r(1), r(1), r(1), r(2)]];
-        let mut t = Tableau::new(rows, vec![2], 3, 2);
+        let mut t = tableau(&[&[1, 1, 1, 2]], vec![2], 3, 2);
         assert!(t.phase_one(&Unlimited).unwrap());
         // x (col 0) should have entered by Bland's rule; x = 2.
         assert_eq!(t.column_value(0), r(2));
         assert_eq!(t.column_value(2), r(0));
+        assert_eq!(t.pivots, vec![(0, 2)]);
     }
 
     /// x = 1 and x = 2 simultaneously (two artificial rows): infeasible.
     #[test]
     fn phase_one_detects_infeasible() {
-        let rows = vec![vec![r(1), r(1), r(0), r(1)], vec![r(1), r(0), r(1), r(2)]];
-        let mut t = Tableau::new(rows, vec![1, 2], 3, 1);
+        let mut t = tableau(&[&[1, 1, 0, 1], &[1, 0, 1, 2]], vec![1, 2], 3, 1);
         assert!(!t.phase_one(&Unlimited).unwrap());
     }
 
     /// min -x s.t. x + s = 5 (slack basis, no artificials): optimum x = 5.
     #[test]
     fn phase_two_optimizes() {
-        let rows = vec![vec![r(1), r(1), r(5)]];
-        let mut t = Tableau::new(rows, vec![1], 2, 2);
+        let mut t = tableau(&[&[1, 1, 5]], vec![1], 2, 2);
         assert!(t.phase_one(&Unlimited).unwrap());
         let outcome = t.phase_two(&[r(-1), r(0)], &Unlimited).unwrap();
         assert_eq!(outcome, PivotOutcome::Optimal);
@@ -289,8 +381,7 @@ mod tests {
     /// min -x s.t. x - s = 0 (x unbounded above).
     #[test]
     fn phase_two_detects_unbounded() {
-        let rows = vec![vec![r(1), r(-1), r(1), r(0)]];
-        let mut t = Tableau::new(rows, vec![2], 3, 2);
+        let mut t = tableau(&[&[1, -1, 1, 0]], vec![2], 3, 2);
         assert!(t.phase_one(&Unlimited).unwrap());
         let outcome = t.phase_two(&[r(-1), r(0)], &Unlimited).unwrap();
         assert_eq!(outcome, PivotOutcome::Unbounded);
@@ -300,8 +391,7 @@ mod tests {
     /// pivoted out and its row must be dropped.
     #[test]
     fn redundant_rows_are_dropped() {
-        let rows = vec![vec![r(1), r(1), r(0), r(1)], vec![r(1), r(0), r(1), r(1)]];
-        let mut t = Tableau::new(rows, vec![1, 2], 3, 1);
+        let mut t = tableau(&[&[1, 1, 0, 1], &[1, 0, 1, 1]], vec![1, 2], 3, 1);
         assert!(t.phase_one(&Unlimited).unwrap());
         assert_eq!(t.column_value(0), r(1));
         assert!(t.rows.len() <= 2);
@@ -309,6 +399,28 @@ mod tests {
             .basis
             .iter()
             .all(|&b| b < 1 || t.column_value(b).is_zero()));
+    }
+
+    /// Eliminating the entering column cancels stored entries and fills in
+    /// new ones; the peak counts the most entries stored at once.
+    #[test]
+    fn pivots_keep_rows_sparse_and_count_the_peak() {
+        // 2x + y + a1 = 2, x + a2 = 1: x enters in row 0 (ratio tie, lower
+        // basic column), then eviction pivots y in for the zero-valued a2.
+        let mut t = tableau(&[&[2, 1, 1, 0, 2], &[1, 0, 0, 1, 1]], vec![2, 3], 4, 2);
+        assert_eq!(t.peak_entries(), 5);
+        assert!(t.phase_one(&Unlimited).unwrap());
+        assert_eq!(t.pivots, vec![(0, 2), (1, 3)]);
+        assert_eq!((t.column_value(0), t.column_value(1)), (r(1), r(0)));
+        // After the first pivot row 1 reads -y/2 - a1/2 + a2 = 0: its x
+        // entry cancelled and two filled in, six stored in all. The second
+        // pivot cancels row 0's y and a1 entries and fills in its a2.
+        assert_eq!(t.peak_entries(), 6);
+        assert_eq!(t.rows.iter().map(|r| r.entries.len()).sum::<usize>(), 5);
+        assert!(t
+            .rows
+            .iter()
+            .all(|row| row.entries.iter().all(|(_, v)| !v.is_zero())));
     }
 
     /// A starved budget interrupts phase 1 instead of looping or panicking.
@@ -320,8 +432,7 @@ mod tests {
                 false
             }
         }
-        let rows = vec![vec![r(1), r(1), r(1), r(2)]];
-        let mut t = Tableau::new(rows, vec![2], 3, 2);
+        let mut t = tableau(&[&[1, 1, 1, 2]], vec![2], 3, 2);
         assert_eq!(t.phase_one(&Refuse), Err(LinearError::Interrupted));
     }
 }
