@@ -183,10 +183,12 @@ pub fn certify_reasoner(reasoner: &Reasoner<'_>, budget: &Budget) -> CrResult<Ce
 }
 
 /// Builds a fresh [`Reasoner`] for `schema` and certifies it — the
-/// entry point behind `crsat check --certify` and the server's
-/// `"certify": true` request flag. The rebuild is deliberate when
-/// certifying a *cached* verdict: it re-derives everything from the schema
-/// text, so a corrupted cache entry is caught too.
+/// entry point behind `crsat check --certify`. A fresh verdict certifies
+/// the reasoner that computed it through [`certify_reasoner`] (the server
+/// does so for `"certify": true` misses and for everything it stores); a
+/// verdict with no reasoner at hand — cached, stored or coalesced in the
+/// server — is re-derived here from the schema text, so a corrupted cache
+/// entry is caught too.
 pub fn certify_check(schema: &Schema, budget: &Budget) -> CrResult<CertifyReport> {
     let reasoner = Reasoner::with_budget(
         schema,

@@ -16,6 +16,21 @@
 //! maximum may genuinely not exist (unbounded participation), so that
 //! search carries an explicit cap and reports
 //! [`ImpliedBound::NoBoundUpTo`] honestly when it is hit.
+//!
+//! A probe the declared windows already decide builds no auxiliary
+//! schema. The windows declared for the role on the class and its
+//! ISA-ancestors tighten into one `(min, max)`, as Definition 3.1 does per
+//! compound class. Every instance of the class is an instance of each
+//! ancestor, so in every model it partakes at least `min` and at most
+//! `max` times: `minc = m` holds for `m ≤ min` and `maxc = n` for
+//! `n ≥ max`, in any schema. The two searches first establish that the
+//! class is satisfiable; some finite model then has an instance of it,
+//! which refutes `minc = m` for `m > max` and `maxc = n` for `n < min`.
+//! So the implied-minimum search doubles upward from the declared minimum
+//! (`min+1, min+2, min+4, …`, then bisects), and the implied-maximum
+//! search keeps its probe sequence and cap but skips the probes the
+//! window decides. Both find the same monotone frontier as probing every
+//! step.
 
 use crate::budget::{Budget, Stage};
 use crate::error::{CrError, CrResult};
@@ -182,12 +197,97 @@ fn with_exc_class(
     Ok((built, exc))
 }
 
-fn check_query_well_formed(schema: &Schema, class: ClassId, role: RoleId) -> CrResult<()> {
-    let closure = IsaClosure::compute(schema);
-    if !closure.is_subclass_of(class, schema.primary_class(role)) {
-        return Err(CrError::CardOnNonSubclass { class, role });
+/// Which bound an implication probe asks about.
+#[derive(Clone, Copy)]
+enum Side {
+    /// `minc(class, role) = k`.
+    Min,
+    /// `maxc(class, role) = k`.
+    Max,
+}
+
+/// A well-formed implication question about `(class, role)`, with the
+/// window the schema declares for it.
+struct Query<'q> {
+    schema: &'q Schema,
+    class: ClassId,
+    role: RoleId,
+    /// The windows declared for `role` on `class` and its ISA-ancestors,
+    /// tightened into one as Definition 3.1 does per compound class.
+    declared: Card,
+    config: &'q ExpansionConfig,
+    budget: &'q Budget,
+}
+
+impl<'q> Query<'q> {
+    fn new(
+        schema: &'q Schema,
+        class: ClassId,
+        role: RoleId,
+        config: &'q ExpansionConfig,
+        budget: &'q Budget,
+    ) -> CrResult<Query<'q>> {
+        let closure = IsaClosure::compute(schema);
+        if !closure.is_subclass_of(class, schema.primary_class(role)) {
+            return Err(CrError::CardOnNonSubclass { class, role });
+        }
+        let declared = closure
+            .ancestors(class)
+            .iter()
+            .fold(Card::UNCONSTRAINED, |card, c| {
+                card.tighten(&schema.declared_card(ClassId::from_index(c), role))
+            });
+        Ok(Query {
+            schema,
+            class,
+            role,
+            declared,
+            config,
+            budget,
+        })
     }
-    Ok(())
+
+    /// Whether the schema implies the `side` bound `k`. The declared window
+    /// decides `minc = k` for `k ≤ min` and `maxc = k` for `k ≥ max`; when
+    /// the caller knows the class `satisfiable`, it also refutes
+    /// `minc = k` for `k > max` and `maxc = k` for `k < min` (see the
+    /// module doc for why). Every other bound takes the auxiliary-class
+    /// probe of Section 4: one [`Stage::Implication`] unit plus whatever
+    /// its expansion and fixpoint charge.
+    fn implies(&self, side: Side, k: u64, satisfiable: bool) -> CrResult<bool> {
+        let (min, max) = (self.declared.min, self.declared.max);
+        let decided = match side {
+            Side::Min if k <= min => Some(true),
+            Side::Min if satisfiable && max.is_some_and(|max| k > max) => Some(false),
+            Side::Max if max.is_some_and(|max| k >= max) => Some(true),
+            Side::Max if satisfiable && k < min => Some(false),
+            _ => None,
+        };
+        if let Some(answer) = decided {
+            return Ok(answer);
+        }
+        let _span = self.budget.tracer().span(Stage::Implication.as_str());
+        self.budget.charge(Stage::Implication, 1)?;
+        self.budget
+            .tracer()
+            .add(cr_trace::Counter::ImplicationProbes, 1);
+        // An instance violating the bound is exactly an instance of C_exc
+        // (`k > min ≥ 0` on the minimum side).
+        let violation = match side {
+            Side::Min => Card::at_most(k - 1),
+            Side::Max => Card::at_least(k + 1),
+        };
+        let (extended, exc) = with_exc_class(self.schema, self.class, self.role, violation)?;
+        let r = Reasoner::with_budget(&extended, self.config, Strategy::default(), self.budget)?;
+        Ok(!r.is_class_satisfiable(exc))
+    }
+
+    /// Whether `class` is finitely satisfiable in the schema itself.
+    fn class_satisfiable(&self) -> CrResult<bool> {
+        let base =
+            Reasoner::with_budget(self.schema, self.config, Strategy::default(), self.budget)?;
+        Ok(base.is_class_satisfiable(self.class))
+    }
 }
 
 /// Whether `schema ⊨ minc(class, role) = m` (Section 4).
@@ -222,9 +322,7 @@ pub fn implies_minc(
 
 /// [`implies_minc`] metered against `budget`, propagating
 /// [`CrError::BudgetExceeded`] (the [`Verdict`]-returning wrapper is
-/// [`implies_minc_governed`]). One [`Stage::Implication`] unit per
-/// auxiliary-schema probe, plus whatever the probe's own expansion and
-/// fixpoint charge.
+/// [`implies_minc_governed`]).
 fn implies_minc_with(
     schema: &Schema,
     class: ClassId,
@@ -233,16 +331,7 @@ fn implies_minc_with(
     config: &ExpansionConfig,
     budget: &Budget,
 ) -> CrResult<bool> {
-    check_query_well_formed(schema, class, role)?;
-    if m == 0 {
-        return Ok(true); // counts are nonnegative
-    }
-    let _span = budget.tracer().span(Stage::Implication.as_str());
-    budget.charge(Stage::Implication, 1)?;
-    budget.tracer().add(cr_trace::Counter::ImplicationProbes, 1);
-    let (extended, exc) = with_exc_class(schema, class, role, Card::at_most(m - 1))?;
-    let r = Reasoner::with_budget(&extended, config, Strategy::default(), budget)?;
-    Ok(!r.is_class_satisfiable(exc))
+    Query::new(schema, class, role, config, budget)?.implies(Side::Min, m, false)
 }
 
 /// [`implies_minc`] under a resource [`Budget`]: a budget trip yields
@@ -278,13 +367,7 @@ fn implies_maxc_with(
     config: &ExpansionConfig,
     budget: &Budget,
 ) -> CrResult<bool> {
-    check_query_well_formed(schema, class, role)?;
-    let _span = budget.tracer().span(Stage::Implication.as_str());
-    budget.charge(Stage::Implication, 1)?;
-    budget.tracer().add(cr_trace::Counter::ImplicationProbes, 1);
-    let (extended, exc) = with_exc_class(schema, class, role, Card::at_least(n + 1))?;
-    let r = Reasoner::with_budget(&extended, config, Strategy::default(), budget)?;
-    Ok(!r.is_class_satisfiable(exc))
+    Query::new(schema, class, role, config, budget)?.implies(Side::Max, n, false)
 }
 
 /// [`implies_maxc`] under a resource [`Budget`] (see
@@ -353,26 +436,27 @@ fn implied_minc_with(
     config: &ExpansionConfig,
     budget: &Budget,
 ) -> CrResult<ImpliedBound> {
-    check_query_well_formed(schema, class, role)?;
-    let base = Reasoner::with_budget(schema, config, Strategy::default(), budget)?;
-    if !base.is_class_satisfiable(class) {
+    let query = Query::new(schema, class, role, config, budget)?;
+    if !query.class_satisfiable()? {
         return Ok(ImpliedBound::Unsatisfiable);
     }
-    if !implies_minc_with(schema, class, role, 1, config, budget)? {
-        return Ok(ImpliedBound::Bound(0));
-    }
-    // Double until a non-implied bound appears (terminates: the class is
-    // satisfiable, so some model realizes a finite count).
-    let mut lo = 1u64; // implied
-    let mut hi = 2u64;
-    while implies_minc_with(schema, class, role, hi, config, budget)? {
+    // The declared minimum is implied. Double the step past it until a
+    // bound is not implied (terminates: the class is satisfiable, so some
+    // model realizes a finite count); saturating at `u64::MAX` ends the
+    // doubling with `hi == lo`.
+    let base = query.declared.min;
+    let mut lo = base; // implied
+    let mut step = 1u64;
+    let mut hi = base.saturating_add(step);
+    while hi > lo && query.implies(Side::Min, hi, true)? {
         lo = hi;
-        hi *= 2;
+        step = step.saturating_mul(2);
+        hi = base.saturating_add(step);
     }
     // Invariant: minc=lo implied, minc=hi not; binary search the frontier.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if implies_minc_with(schema, class, role, mid, config, budget)? {
+        if query.implies(Side::Min, mid, true)? {
             lo = mid;
         } else {
             hi = mid;
@@ -415,12 +499,11 @@ fn implied_maxc_with(
     cap: u64,
     budget: &Budget,
 ) -> CrResult<ImpliedBound> {
-    check_query_well_formed(schema, class, role)?;
-    let base = Reasoner::with_budget(schema, config, Strategy::default(), budget)?;
-    if !base.is_class_satisfiable(class) {
+    let query = Query::new(schema, class, role, config, budget)?;
+    if !query.class_satisfiable()? {
         return Ok(ImpliedBound::Unsatisfiable);
     }
-    if implies_maxc_with(schema, class, role, 0, config, budget)? {
+    if query.implies(Side::Max, 0, true)? {
         return Ok(ImpliedBound::Bound(0));
     }
     // Double until an implied bound appears or the cap is passed.
@@ -430,7 +513,7 @@ fn implied_maxc_with(
         if hi > cap {
             return Ok(ImpliedBound::NoBoundUpTo(cap));
         }
-        if implies_maxc_with(schema, class, role, hi, config, budget)? {
+        if query.implies(Side::Max, hi, true)? {
             break;
         }
         lo = hi;
@@ -439,7 +522,7 @@ fn implied_maxc_with(
     // Invariant: maxc=hi implied, maxc=lo not.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if implies_maxc_with(schema, class, role, mid, config, budget)? {
+        if query.implies(Side::Max, mid, true)? {
             hi = mid;
         } else {
             lo = mid;
@@ -610,13 +693,60 @@ mod tests {
         let starved = Budget::unlimited().with_max_steps(3);
         let v = implies_maxc_governed(&schema, talk, u4, 1, &config, &starved).unwrap();
         assert!(matches!(v, Verdict::Unknown { .. }), "got {v:?}");
-        let starved = Budget::unlimited().with_stage_limit(Stage::Implication, 1);
+        // maxc(Speaker, Holds.U1) needs one probe: maxc = 0 is refuted by
+        // the declared minimum, maxc = 1 takes an LP.
+        let starved = Budget::unlimited().with_stage_limit(Stage::Implication, 0);
         let b = implied_maxc_governed(&schema, speaker, u1, &config, 1 << 16, &starved).unwrap();
         assert!(matches!(b, BoundVerdict::Unknown { .. }), "got {b:?}");
         // The Unknown reason names the tripped guard.
         if let BoundVerdict::Unknown { reason } = b {
             assert!(reason.contains("implication"), "{reason}");
         }
+        // One probe's worth of budget answers it.
+        let one_probe = Budget::unlimited().with_stage_limit(Stage::Implication, 1);
+        assert_eq!(
+            implied_maxc_governed(&schema, speaker, u1, &config, 1 << 16, &one_probe).unwrap(),
+            BoundVerdict::Known(ImpliedBound::Bound(1))
+        );
+    }
+
+    /// Runs `query` under a fresh tracer and returns its answer with the
+    /// number of auxiliary-schema probes it took.
+    fn probes<T>(query: impl FnOnce(&Budget) -> T) -> (T, u64) {
+        let tracer = cr_trace::Tracer::new(Box::new(cr_trace::NullSink));
+        let answer = query(&Budget::unlimited().with_tracer(&tracer));
+        (answer, tracer.counter(cr_trace::Counter::ImplicationProbes))
+    }
+
+    #[test]
+    fn declared_windows_settle_probes_without_an_lp() {
+        let (schema, speaker, _, talk, u1, u2, ..) = meeting();
+        let config = ExpansionConfig::default();
+        // Declared 1..∞ on Speaker: minc = 1 is given, only minc = 2 needs
+        // an LP.
+        assert_eq!(
+            probes(|b| implied_minc_governed(&schema, speaker, u1, &config, b).unwrap()),
+            (BoundVerdict::Known(ImpliedBound::Bound(1)), 1)
+        );
+        assert_eq!(
+            probes(|b| implies_minc_governed(&schema, speaker, u1, 1, &config, b).unwrap()),
+            (Verdict::True, 0)
+        );
+        // Declared 1..1 on Talk decides both searches outright.
+        assert_eq!(
+            probes(|b| implied_minc_governed(&schema, talk, u2, &config, b).unwrap()),
+            (BoundVerdict::Known(ImpliedBound::Bound(1)), 0)
+        );
+        assert_eq!(
+            probes(|b| implied_maxc_governed(&schema, talk, u2, &config, 1 << 16, b).unwrap()),
+            (BoundVerdict::Known(ImpliedBound::Bound(1)), 0)
+        );
+        // A single question never uses the refuting side: the class might
+        // be unsatisfiable, making every bound implied.
+        assert_eq!(
+            probes(|b| implies_maxc_governed(&schema, talk, u2, 0, &config, b).unwrap()),
+            (Verdict::False, 1)
+        );
     }
 
     #[test]

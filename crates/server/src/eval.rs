@@ -7,7 +7,7 @@ use cr_core::expansion::ExpansionConfig;
 use cr_core::ids::{ClassId, RoleId};
 use cr_core::implication::{implies_maxc_governed, implies_minc_governed, Verdict};
 use cr_core::sat::{Reasoner, Strategy};
-use cr_core::{Budget, CrError, Schema, Stage};
+use cr_core::{Budget, CertifyReport, CrError, Schema, Stage};
 
 use crate::protocol::Status;
 
@@ -74,6 +74,21 @@ fn from_cr_error(e: CrError, budget: &Budget) -> Answer {
 /// Status is [`Status::Negative`] iff some class is finitely
 /// unsatisfiable — the same criterion as `crsat check`'s exit code 1.
 pub fn check(schema: &Schema, budget: &Budget) -> Answer {
+    check_certified(schema, budget, false).0
+}
+
+/// [`cr_core::certify_reasoner`]'s report on a reasoner, or the error
+/// (budget trip, injected fault) that stopped certification.
+pub type Certification = Result<CertifyReport, CrError>;
+
+/// [`check`], plus, when `certify` is set, the [`Certification`] of the
+/// very reasoner that answered. There is none when no reasoner was built:
+/// then there is no verdict to certify.
+pub fn check_certified(
+    schema: &Schema,
+    budget: &Budget,
+    certify: bool,
+) -> (Answer, Option<Certification>) {
     let reasoner = match Reasoner::with_budget(
         schema,
         &ExpansionConfig::default(),
@@ -81,7 +96,7 @@ pub fn check(schema: &Schema, budget: &Budget) -> Answer {
         budget,
     ) {
         Ok(r) => r,
-        Err(e) => return from_cr_error(e, budget),
+        Err(e) => return (from_cr_error(e, budget), None),
     };
     let mut unsat = Vec::new();
     for c in schema.classes() {
@@ -94,7 +109,7 @@ pub fn check(schema: &Schema, budget: &Budget) -> Answer {
             unsat.push(format!("rel {}", schema.rel_name(rel)));
         }
     }
-    if unsat.is_empty() {
+    let answer = if unsat.is_empty() {
         Answer {
             status: Status::Ok,
             verdict: "satisfiable".to_string(),
@@ -118,7 +133,9 @@ pub fn check(schema: &Schema, budget: &Budget) -> Answer {
             },
             detail: unsat,
         }
-    }
+    };
+    let certified = certify.then(|| cr_core::certify_reasoner(&reasoner, budget));
+    (answer, certified)
 }
 
 /// The outcome of the delta evaluation path.

@@ -2,8 +2,8 @@
 //! certified verdicts keyed by (canonical form, question).
 //!
 //! Trust model: **nothing enters the store without a certificate.** The
-//! server only persists `check` verdicts that `cr_core::certify_check`
-//! re-validated and that agree with the certified unsat-class set, so a
+//! server only persists `check` verdicts that passed certification and
+//! that agree with the certified unsat-class set, so a
 //! record read back after a crash is as trustworthy as a fresh run —
 //! integrity in transit is the log's CRC framing, integrity of *meaning*
 //! is the certificate gate at write time. Rehydration therefore does not

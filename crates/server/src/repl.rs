@@ -179,8 +179,9 @@ impl FollowerClient {
 
     fn try_roundtrip(&mut self, line: &str) -> io::Result<String> {
         let conn = self.conn.as_mut().expect("connection established");
-        conn.get_mut().write_all(line.as_bytes())?;
-        conn.get_mut().write_all(b"\n")?;
+        // One write: without TCP_NODELAY a trailing newline sent on its
+        // own can wait for the primary's delayed ACK.
+        conn.get_mut().write_all(format!("{line}\n").as_bytes())?;
         conn.get_mut().flush()?;
         let mut resp = String::new();
         if conn.read_line(&mut resp)? == 0 {
@@ -283,6 +284,84 @@ mod tests {
         let fresh = ship_chunk(&store, Some(0), Some(store.epoch() + 7)).expect("ship");
         assert!(!fresh.reset);
         assert!(!fresh.data.is_empty());
+    }
+
+    /// A connection that records each write and answers with `reply`.
+    struct RecordingConn {
+        writes: Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
+        reply: io::Cursor<Vec<u8>>,
+    }
+
+    impl io::Read for RecordingConn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reply.read(buf)
+        }
+    }
+
+    impl Write for RecordingConn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.lock().expect("writes").push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn for RecordingConn {
+        fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn clone_writer(&self) -> io::Result<Box<dyn Write + Send>> {
+            Err(io::Error::other("not needed by the follower"))
+        }
+    }
+
+    #[derive(Debug)]
+    struct RecordingConnector(Arc<std::sync::Mutex<Vec<Vec<u8>>>>);
+
+    impl Connector for RecordingConnector {
+        fn connect(&self, _: &str, _: Duration) -> io::Result<Box<dyn Conn>> {
+            let caught_up = crate::protocol::Response {
+                id: "repl-1".to_string(),
+                status: Status::Ok,
+                verdict: None,
+                detail: Vec::new(),
+                cached: false,
+                schema_hash: None,
+                report: None,
+                repl: Some(ReplChunk {
+                    offset: 0,
+                    log_len: 0,
+                    epoch: 1,
+                    reset: false,
+                    data: Vec::new(),
+                }),
+                trace_id: None,
+            };
+            Ok(Box::new(RecordingConn {
+                writes: Arc::clone(&self.0),
+                reply: io::Cursor::new(format!("{}\n", caught_up.to_json()).into_bytes()),
+            }))
+        }
+    }
+
+    #[test]
+    fn a_poll_is_one_write_ending_in_its_newline() {
+        let writes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut client = FollowerClient::with_connector(
+            "primary:1",
+            Duration::from_secs(1),
+            Arc::new(RecordingConnector(Arc::clone(&writes))),
+        );
+        let chunk = client.poll(0, 1).expect("caught-up chunk");
+        assert!(!chunk.reset && chunk.data.is_empty());
+        let writes = writes.lock().expect("writes");
+        assert_eq!(writes.len(), 1, "one write per poll, got {writes:?}");
+        assert!(writes[0].ends_with(b"\n"));
+        assert_eq!(writes[0].iter().filter(|&&b| b == b'\n').count(), 1);
     }
 
     #[test]

@@ -959,10 +959,14 @@ impl Server {
                         detail: answer.detail.clone(),
                         trace_id: request.trace_id.clone(),
                     };
-                    // Certify against the *edited* schema: the record must
-                    // only reach disk (and standbys) if the edited schema
-                    // independently proves the same unsat set.
-                    self.persist_certified(next.schema(), &budget, &key, &verdict, &tracer);
+                    // Certify against the *edited* schema, re-reasoned from
+                    // its text: the record must only reach disk (and
+                    // standbys) if the edited schema independently proves
+                    // the same unsat set.
+                    if self.read_store().is_some() {
+                        let certified = cr_core::certify_check(next.schema(), &budget);
+                        self.persist_certified(&certified, &key, &verdict, &tracer);
+                    }
                     let evicted = self.inner.cache.insert(shard_hash, key, verdict);
                     if evicted > 0 {
                         tracer.add(Counter::CacheEvictions, evicted);
@@ -991,6 +995,9 @@ impl Server {
                 };
                 let mut full = request.clone();
                 full.op = Op::Check;
+                // Nothing here certifies the answer for the client, so only
+                // a durable store's gate may ask for a certification.
+                full.certify = false;
                 let (answer, _) =
                     self.compute_fresh(&full, &edited, &budget, edited_hash, full_key, &tracer);
                 (answer, Some(format!("delta-fallback: {reason}")))
@@ -1121,6 +1128,7 @@ impl Server {
                     },
                     true,
                     leader,
+                    None,
                 );
             }
             // Read-through: an LRU eviction must not force a recomputation
@@ -1140,7 +1148,7 @@ impl Server {
                         detail: hit.detail.clone(),
                     };
                     self.inner.cache.insert(schema_hash, key.clone(), hit);
-                    return (answer, true, leader);
+                    return (answer, true, leader, None);
                 }
             }
             tracer.add(Counter::CacheMisses, 1);
@@ -1159,6 +1167,7 @@ impl Server {
                         ],
                     },
                     false,
+                    None,
                     None,
                 );
             }
@@ -1186,12 +1195,13 @@ impl Server {
                                 },
                                 true,
                                 leader,
+                                None,
                             )
                         }
                         // Leader died or we timed out first: compute it
                         // ourselves under our own budget.
                         None => {
-                            let (answer, cached) = self.compute_fresh(
+                            let (answer, certified) = self.compute_fresh(
                                 request,
                                 &schema,
                                 &budget,
@@ -1199,13 +1209,13 @@ impl Server {
                                 key,
                                 &tracer,
                             );
-                            (answer, cached, None)
+                            (answer, false, None, certified)
                         }
                     }
                 }
                 flight::Entry::Leader(guard) => {
                     let started = Instant::now();
-                    let (answer, cached) =
+                    let (answer, certified) =
                         self.compute_fresh(request, &schema, &budget, schema_hash, key, &tracer);
                     // Cost model: fresh-compute wall time by schema size,
                     // feeding the admission gate's can-it-fit estimate.
@@ -1219,12 +1229,12 @@ impl Server {
                         trace_id: request.trace_id.clone(),
                     });
                     guard.publish(publish);
-                    (answer, cached, None)
+                    (answer, false, None, certified)
                 }
             }
         }));
 
-        let (mut answer, cached, leader_trace_id) = match work {
+        let (mut answer, cached, leader_trace_id, certified) = match work {
             Ok(result) => result,
             Err(panic) => {
                 let msg = panic_text(&panic);
@@ -1250,7 +1260,7 @@ impl Server {
         };
 
         if request.certify && request.op == Op::Check {
-            answer = self.certify_answer(&schema, &budget, answer);
+            answer = self.certify_answer(&schema, &budget, answer, certified);
         }
 
         let mut report = cr_core::run_report(&budget, request.op.as_str(), answer.status.as_str());
@@ -1272,6 +1282,9 @@ impl Server {
 
     /// Runs the governed pipeline for a cache-missed request and fills the
     /// cache (and, for certified `check` verdicts, the durable store).
+    /// A `check` on a durable daemon, or one asking `certify`, also
+    /// certifies the reasoner that answered; that report comes back for
+    /// [`Server::certify_answer`].
     fn compute_fresh(
         &self,
         request: &Request,
@@ -1280,10 +1293,13 @@ impl Server {
         schema_hash: u128,
         key: CacheKey,
         tracer: &Tracer,
-    ) -> (eval::Answer, bool) {
-        let answer = match request.op {
-            Op::Check => eval::check(schema, budget),
-            Op::Implies => eval::implies(schema, &request.query, budget),
+    ) -> (eval::Answer, Option<eval::Certification>) {
+        let (answer, certified) = match request.op {
+            Op::Check => {
+                let certify = request.certify || self.read_store().is_some();
+                eval::check_certified(schema, budget, certify)
+            }
+            Op::Implies => (eval::implies(schema, &request.query, budget), None),
             _ => unreachable!("only check/implies compute"),
         };
         if answer.cacheable() {
@@ -1293,8 +1309,8 @@ impl Server {
                 detail: answer.detail.clone(),
                 trace_id: request.trace_id.clone(),
             };
-            if request.op == Op::Check {
-                self.persist_certified(schema, budget, &key, &verdict, tracer);
+            if let Some(certified) = &certified {
+                self.persist_certified(certified, &key, &verdict, tracer);
             }
             let evicted = self.inner.cache.insert(schema_hash, key, verdict);
             if evicted > 0 {
@@ -1302,24 +1318,27 @@ impl Server {
                 self.inner.aggregate.add(Counter::CacheEvictions, evicted);
             }
         }
-        (answer, false)
+        (answer, certified)
     }
 
-    /// Re-validates a `check` answer through `cr_core::certify_check`: the
-    /// schema is re-reasoned from its source text (so a corrupted cache
-    /// entry is caught too) and the independent certificate chain must both
-    /// pass and agree with the answer being returned. Errors and budget
-    /// trips are passed through unchanged — there is nothing to certify.
+    /// Re-validates a `check` answer: the independent certificate chain
+    /// must both pass and agree with the answer being returned. A fresh
+    /// verdict brings `fresh`, the certification of the reasoner that
+    /// computed it; a cached, stored or coalesced one is re-derived here by
+    /// `cr_core::certify_check` from the schema's source text, so a
+    /// corrupted cache entry is caught too. Errors and budget trips are
+    /// passed through unchanged — there is nothing to certify.
     fn certify_answer(
         &self,
         schema: &cr_core::Schema,
         budget: &Budget,
         answer: eval::Answer,
+        fresh: Option<eval::Certification>,
     ) -> eval::Answer {
         if !matches!(answer.status, Status::Ok | Status::Negative) {
             return answer;
         }
-        let certified = match cr_core::certify_check(schema, budget) {
+        let certified = match fresh.unwrap_or_else(|| cr_core::certify_check(schema, budget)) {
             Ok(report) => report,
             Err(e) => {
                 return match eval::budget_line(&e) {
@@ -1362,17 +1381,16 @@ impl Server {
         answer
     }
 
-    /// Durably records a freshly computed `check` verdict — but only after
-    /// `cr_core::certify_check` independently re-validates it and its
-    /// certified unsat set agrees with the answer. An uncertifiable verdict
-    /// is still served and cached in memory (the governor may simply have
-    /// no budget left for the certificate pass); it just never reaches
-    /// disk, so everything a warm restart — or a standby mirroring the
-    /// log — serves was once proven.
+    /// Durably records a freshly computed `check` verdict — but only when
+    /// it passed certification: `certified`, the certificate chain run on
+    /// the reasoner that computed it, must pass and its unsat set agree
+    /// with the answer. An uncertifiable verdict is still served and cached
+    /// in memory (the governor may simply have had no budget left for the
+    /// certificate pass); it just never reaches disk, so everything a warm
+    /// restart — or a standby mirroring the log — serves was once proven.
     fn persist_certified(
         &self,
-        schema: &cr_core::Schema,
-        budget: &Budget,
+        certified: &eval::Certification,
         key: &CacheKey,
         verdict: &CachedVerdict,
         tracer: &Tracer,
@@ -1381,9 +1399,8 @@ impl Server {
         let Some(store) = store.as_ref() else {
             return;
         };
-        let certified = match cr_core::certify_check(schema, budget) {
-            Ok(report) => report,
-            Err(_) => return,
+        let Ok(certified) = certified else {
+            return;
         };
         if !certified.ok() || certified.unsat_classes != claimed_unsat_classes(&verdict.detail) {
             return;
@@ -2103,8 +2120,8 @@ impl Drop for Dereg<'_> {
 }
 
 /// The unsat classes an answer claims: its detail lines minus the `rel `
-/// relationship lines. This is the set `cr_core::certify_check` must agree
-/// with before a verdict is trusted (returned to a `--certify` client, or
+/// relationship lines. This is the set certification must agree with
+/// before a verdict is trusted (returned to a `--certify` client, or
 /// written to the durable store).
 fn claimed_unsat_classes(detail: &[String]) -> Vec<String> {
     detail
@@ -2396,6 +2413,64 @@ mod tests {
                 > 0
         );
         server.finish();
+    }
+
+    #[test]
+    fn a_fresh_miss_certifies_the_reasoner_that_answered() {
+        let counter = |r: &Response, name: &str| {
+            r.report
+                .as_ref()
+                .and_then(|report| report.counter(name))
+                .expect("the report carries every counter")
+        };
+        let memory = Server::new(ServerConfig::default());
+        let plain = memory.process_line(&check_request("m", MEETING));
+        assert_eq!(plain.status, Status::Ok);
+        memory.finish();
+
+        // A durable miss certifies the reasoner that answered before the
+        // verdict is stored, so it reasons exactly once, like the
+        // memory-only miss.
+        let dir = tmp("certify-once");
+        let durable = Server::new(ServerConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let stored = durable.process_line(&check_request("d", MEETING));
+        assert_eq!(stored.status, Status::Ok);
+        assert_eq!(
+            counter(&stored, "disequations_emitted"),
+            counter(&plain, "disequations_emitted")
+        );
+        assert_eq!(counter(&stored, "store_writes"), 1);
+        assert!(counter(&stored, "certify_checks") > 0);
+        durable.finish();
+
+        // A `certify:true` miss hands that same certification to the
+        // client instead of certifying a second time.
+        let flag_dir = tmp("certify-once-flag");
+        let flagged = Server::new(ServerConfig {
+            cache_dir: Some(flag_dir.clone()),
+            ..ServerConfig::default()
+        });
+        let mut request = Request::new("c", Op::Check);
+        request.schema = Some(MEETING.to_string());
+        request.certify = true;
+        let certified = flagged.process_line(&request.to_json());
+        assert_eq!(certified.status, Status::Ok);
+        assert!(!certified.cached);
+        assert_eq!(
+            counter(&certified, "certify_checks"),
+            counter(&stored, "certify_checks")
+        );
+        assert_eq!(
+            counter(&certified, "disequations_emitted"),
+            counter(&plain, "disequations_emitted")
+        );
+        assert_eq!(counter(&certified, "store_writes"), 1);
+        flagged.finish();
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&flag_dir);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::time::Duration;
 
 use cr_core::budget::{Budget, CancelToken, ManualClock, Stage};
 use cr_core::expansion::{Expansion, ExpansionConfig};
-use cr_core::implication::{implied_maxc_governed, implies_minc_governed, BoundVerdict, Verdict};
+use cr_core::implication::{
+    implied_maxc_governed, implies_minc_governed, BoundVerdict, ImpliedBound, Verdict,
+};
 use cr_core::model::ModelConfig;
 use cr_core::sat::{satisfiable_with_fallback, Reasoner, SatEngine, Strategy as SolveStrategy};
 use cr_core::schema::{Card, Schema, SchemaBuilder};
@@ -302,22 +304,38 @@ fn implication_unknown_is_three_valued_not_false() {
     let talk = schema.class_by_name("Talk").unwrap();
     let holds = schema.rel_by_name("Holds").unwrap();
     let u2 = schema.role_by_name(holds, "U2").unwrap();
+    let participates = schema.rel_by_name("Participates").unwrap();
+    let u4 = schema.role_by_name(participates, "U4").unwrap();
 
-    // minc(Talk, Holds.U2) = 1 is declared, hence implied.
+    // minc(Talk, Holds.U2) = 2 exceeds the declared 1..1, hence is not
+    // implied; deciding that takes a probe.
     let free = Budget::unlimited();
     assert_eq!(
-        implies_minc_governed(&schema, talk, u2, 1, &config, &free).unwrap(),
-        Verdict::True
+        implies_minc_governed(&schema, talk, u2, 2, &config, &free).unwrap(),
+        Verdict::False
     );
 
     // Under starvation the same query is Unknown — crucially not False.
     let starved = Budget::unlimited().with_max_steps(2);
-    let v = implies_minc_governed(&schema, talk, u2, 1, &config, &starved).unwrap();
+    let v = implies_minc_governed(&schema, talk, u2, 2, &config, &starved).unwrap();
     assert!(matches!(v, Verdict::Unknown { .. }), "got {v:?}");
+    // The declared minc(Talk, Holds.U2) = 1 needs no probe, so the same
+    // starved budget answers it.
+    assert_eq!(
+        implies_minc_governed(&schema, talk, u2, 1, &config, &starved).unwrap(),
+        Verdict::True
+    );
 
-    let starved = Budget::unlimited().with_stage_limit(Stage::Implication, 1);
-    let b = implied_maxc_governed(&schema, talk, u2, &config, 1 << 16, &starved).unwrap();
+    // The tightest maxc(Talk, Participates.U4) = 1 is not declared and
+    // takes one probe; no probe at all is allowed here.
+    let starved = Budget::unlimited().with_stage_limit(Stage::Implication, 0);
+    let b = implied_maxc_governed(&schema, talk, u4, &config, 1 << 16, &starved).unwrap();
     assert!(matches!(b, BoundVerdict::Unknown { .. }), "got {b:?}");
+    // Talk's declared 1..1 on Holds.U2 settles that search without one.
+    assert_eq!(
+        implied_maxc_governed(&schema, talk, u2, &config, 1 << 16, &starved).unwrap(),
+        BoundVerdict::Known(ImpliedBound::Bound(1))
+    );
 }
 
 #[test]
