@@ -198,6 +198,44 @@ fn stats_file_written_on_success() {
     let _ = std::fs::remove_file(stats);
 }
 
+/// `--certify` certifies the reasoner that answered instead of building a
+/// second one, so the reasoning counters match a run without it.
+#[test]
+fn certify_reuses_the_reasoner_that_answered() {
+    let counters = |certify: bool| {
+        let stats = std::env::temp_dir().join(format!(
+            "crsat-stats-certify-{certify}-{}.json",
+            std::process::id()
+        ));
+        let mut args = vec![
+            "check".to_string(),
+            schema_path("meeting.cr").to_str().unwrap().to_string(),
+            "--stats".to_string(),
+            stats.to_str().unwrap().to_string(),
+        ];
+        if certify {
+            args.push("--certify".to_string());
+        }
+        let out = crsat().args(&args).output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let report =
+            cr_trace::json::parse(std::fs::read_to_string(&stats).unwrap().trim()).unwrap();
+        let _ = std::fs::remove_file(stats);
+        let counters = report.get("counters").unwrap();
+        let read = |name: &str| counters.get(name).unwrap().as_u64().unwrap();
+        (
+            read("disequations_emitted"),
+            read("compound_classes_considered"),
+            read("certify_checks"),
+        )
+    };
+    let (plain_rows, plain_classes, plain_checks) = counters(false);
+    let (rows, classes, checks) = counters(true);
+    assert_eq!(plain_checks, 0);
+    assert!(checks > 0, "--certify ran no certificate check");
+    assert_eq!((rows, classes), (plain_rows, plain_classes));
+}
+
 #[test]
 fn stats_file_written_on_budget_exceeded() {
     // The stats report must be written even when the process exits 3, and

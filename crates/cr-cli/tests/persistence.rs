@@ -4,6 +4,7 @@
 //!   and `resume` reproduces the uninterrupted run's output exactly;
 //! * `resume` refuses a checkpoint whose schema no longer matches its
 //!   recorded canonical hash;
+//! * `resume --certify` refuses a checkpoint whose frontier was corrupted;
 //! * a daemon SIGKILLed mid-session loses none of the verdicts it had
 //!   already acknowledged: a successor on the same `--cache-dir` serves
 //!   every one of them warm, unflipped.
@@ -125,6 +126,60 @@ fn resume_refuses_a_checkpoint_with_a_foreign_hash() {
             .unwrap()
             .contains("canonical hash mismatch"),
         "tampering must be named"
+    );
+    let _ = std::fs::remove_file(&cp);
+}
+
+/// The canonical hash does not cover the checkpoint's frontier, and the
+/// resumed fixpoint only ever removes classes, so a live class flipped to
+/// dead resumes into a support that is too small. On university.cr every
+/// class verdict survives one such flip; `resume --certify` must still
+/// refuse the run, because the Farkas chain cannot exclude the class.
+#[test]
+fn resume_certify_refutes_a_corrupted_frontier() {
+    let schema = schema_path("university.cr");
+    let cp = temp("frontier.cp");
+    let out = crsat()
+        .args([
+            "check",
+            schema.to_str().unwrap(),
+            "--max-steps=400",
+            &format!("--checkpoint={}", cp.to_str().unwrap()),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+
+    let intact = crsat()
+        .args(["resume", cp.to_str().unwrap(), "--certify"])
+        .output()
+        .unwrap();
+    assert!(intact.status.success(), "{intact:?}");
+
+    let text = std::fs::read_to_string(&cp).unwrap();
+    let key = "\"frontier\":\"";
+    let at = text
+        .find(key)
+        .expect("the budget tripped inside the fixpoint, which leaves a frontier")
+        + key.len();
+    let live = at + text[at..].find('1').expect("the frontier has a live class");
+    let mut tampered = text.clone();
+    tampered.replace_range(live..live + 1, "0");
+    std::fs::write(&cp, &tampered).unwrap();
+
+    let resumed = crsat()
+        .args(["resume", cp.to_str().unwrap(), "--certify"])
+        .output()
+        .unwrap();
+    assert_eq!(resumed.status.code(), Some(2), "{resumed:?}");
+    let stdout = String::from_utf8(resumed.stdout).unwrap();
+    assert!(
+        !stdout.contains("UNSATISFIABLE"),
+        "one flip should leave every verdict right:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("certify: no Farkas certificate for excluded compound class"),
+        "{stdout}"
     );
     let _ = std::fs::remove_file(&cp);
 }

@@ -11,14 +11,17 @@
 //!   paper-verbatim system with [`AcceptableSolution::verify`](crate::sat::AcceptableSolution::verify) — pure
 //!   rational arithmetic, no simplex — and its positive entries are
 //!   required to coincide exactly with the claimed maximal support.
-//! * **UNSAT side.** For every compound class *outside* the support, a
-//!   Farkas/Motzkin certificate ([`cr_linear::FarkasCertificate`]) is
-//!   derived proving that `Ψ_S` restricted to the support admits no
-//!   solution with that class positive. Checking a certificate is a handful
-//!   of dot products; together with the witness (which shows the support
-//!   itself *is* jointly achievable) this certifies each class-level
-//!   verdict: a class is satisfiable iff one of its compound classes is in
-//!   the support.
+//! * **UNSAT side.** Every compound class *outside* the support gets a
+//!   Farkas/Motzkin certificate ([`cr_linear::FarkasCertificate`]) in a
+//!   chain that starts from all compound classes: each proves that `Ψ_S`,
+//!   restricted to the classes not yet excluded, admits no solution with
+//!   that class positive. Checking a certificate is a handful of dot
+//!   products; together with the witness (which shows the support itself
+//!   *is* jointly achievable) this certifies each class-level verdict: a
+//!   class is satisfiable iff one of its compound classes is in the
+//!   support. Neither side trusts how the support was reached, so a
+//!   support that is too small (say, one resumed from a corrupted
+//!   checkpoint frontier) leaves a class the chain cannot exclude.
 //! * **Differential oracle.** On small expansions (at most
 //!   [`zenum::MAX_Z_UNKNOWNS`] compound classes) every class verdict is
 //!   additionally recomputed by the paper's literal Theorem 3.4
@@ -113,30 +116,52 @@ pub fn certify_reasoner(reasoner: &Reasoner<'_>, budget: &Budget) -> CrResult<Ce
         ),
     }
 
-    // UNSAT side: each excluded compound class gets a Farkas certificate
-    // that the support cannot be extended by it.
-    for (cc, &alive) in support.iter().enumerate() {
-        if alive {
-            continue;
-        }
-        budget.charge(Stage::Fixpoint, 1)?;
-        let probe = fixpoint::restrict(sys, support, Some(cc));
-        let cert = match farkas_certificate_governed(&probe, &budget) {
-            Ok(c) => c,
-            Err(LinearError::Interrupted) => return Err(budget.exceeded_err(Stage::Simplex)),
-            Err(LinearError::FaultInjected { site }) => {
-                return Err(CrError::FaultInjected { site })
+    // UNSAT side: a chain of Farkas certificates shrinks the set of
+    // compound classes an acceptable solution may use, from all of them
+    // down to the claimed support. Each link proves that `Ψ_S` restricted
+    // to the current set admits no solution with an excluded class
+    // `cc >= 1`; every acceptable solution inside the set solves that
+    // restriction, so `cc` is zero in all of them and leaves the set. A
+    // removal never blocks a later one, so the passes repeat until one
+    // removes nothing. From the maximal support the chain reaches it in
+    // any order; a class that a too-small support wrongly excludes keeps
+    // a solution and never leaves. Checking each class only against the
+    // support itself would not do: that pins the class to zero, and the
+    // probe is infeasible whatever the support.
+    let mut possible = vec![true; support.len()];
+    let mut pending: Vec<usize> = (0..support.len()).filter(|&cc| !support[cc]).collect();
+    loop {
+        let before = pending.len();
+        for cc in std::mem::take(&mut pending) {
+            budget.charge(Stage::Fixpoint, 1)?;
+            let probe = fixpoint::restrict(sys, &possible, Some(cc));
+            let cert = match farkas_certificate_governed(&probe, &budget) {
+                Ok(c) => c,
+                Err(LinearError::Interrupted) => return Err(budget.exceeded_err(Stage::Simplex)),
+                Err(LinearError::FaultInjected { site }) => {
+                    return Err(CrError::FaultInjected { site })
+                }
+                Err(e) => unreachable!("certificate search cannot fail otherwise: {e}"),
+            };
+            // The derivation already checked the certificate; checking it
+            // again here against the probe keeps the generator untrusted.
+            if cert.is_some_and(|c| c.check(&probe).is_ok()) {
+                report.farkas_certificates += 1;
+                tracer.add(Counter::CertifyFarkasSteps, 1);
+                check(&mut report, true, String::new());
+                possible[cc] = false;
+            } else {
+                pending.push(cc);
             }
-            Err(e) => unreachable!("certificate search cannot fail otherwise: {e}"),
-        };
-        report.farkas_certificates += 1;
-        tracer.add(Counter::CertifyFarkasSteps, 1);
-        // The certificate's own `check` already ran inside the derivation;
-        // what we assert here is that a certificate *exists* (the exclusion
-        // is genuine) and independently re-verifies against the probe.
+        }
+        if pending.is_empty() || pending.len() == before {
+            break;
+        }
+    }
+    for cc in pending {
         check(
             &mut report,
-            cert.as_ref().is_some_and(|c| c.check(&probe).is_ok()),
+            false,
             format!("no Farkas certificate for excluded compound class {cc}"),
         );
     }
@@ -182,13 +207,13 @@ pub fn certify_reasoner(reasoner: &Reasoner<'_>, budget: &Budget) -> CrResult<Ce
     Ok(report)
 }
 
-/// Builds a fresh [`Reasoner`] for `schema` and certifies it — the
-/// entry point behind `crsat check --certify`. A fresh verdict certifies
-/// the reasoner that computed it through [`certify_reasoner`] (the server
-/// does so for `"certify": true` misses and for everything it stores); a
-/// verdict with no reasoner at hand — cached, stored or coalesced in the
-/// server — is re-derived here from the schema text, so a corrupted cache
-/// entry is caught too.
+/// Builds a fresh [`Reasoner`] for `schema` and certifies it. A fresh
+/// verdict certifies the reasoner that computed it through
+/// [`certify_reasoner`] (`crsat check --certify` and `crsat resume
+/// --certify` do, and so does the server for `"certify": true` misses and
+/// for everything it stores); a verdict with no reasoner at hand — cached,
+/// stored or coalesced in the server — is re-derived here from the schema
+/// text, so a corrupted cache entry is caught too.
 pub fn certify_check(schema: &Schema, budget: &Budget) -> CrResult<CertifyReport> {
     let reasoner = Reasoner::with_budget(
         schema,
@@ -281,15 +306,60 @@ mod tests {
         ));
     }
 
+    /// Two disjoint classes that need each other through `R`: the maximal
+    /// support holds both, and neither can join an empty support alone.
+    fn mutual_pair() -> Schema {
+        let mut b = SchemaBuilder::new();
+        let x = b.class("X");
+        let y = b.class("Y");
+        b.disjoint([x, y]).unwrap();
+        let r = b.relationship("R", [("U1", x), ("U2", y)]).unwrap();
+        b.card(x, b.role(r, 0), Card::at_least(1)).unwrap();
+        b.card(y, b.role(r, 1), Card::at_least(1)).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn a_corrupted_reasoner_verdict_is_refuted() {
-        // Forge a wrong SAT verdict by certifying a reasoner whose support
-        // we cannot easily corrupt directly — instead check the failure
-        // path through the report API: a fabricated failure list reports
-        // not-ok.
-        let mut report = CertifyReport::default();
-        assert!(report.ok());
-        report.failures.push("forged".to_string());
-        assert!(!report.ok());
+        // A reasoner resumed from a frontier that drops classes of the
+        // maximal support ends on a support that is too small. Its witness
+        // still fits that support, so the Farkas chain must refute it: the
+        // dropped classes keep a solution and cannot be excluded. On the
+        // mutual pair, dropping either class drops both, and only a chain
+        // that starts from every class, not from the support, sees that.
+        let budget = Budget::unlimited();
+        for schema in [meeting(), mutual_pair()] {
+            let support = Reasoner::new(&schema).unwrap().support().to_vec();
+            let mut frontiers = vec![vec![false; support.len()]];
+            for (cc, &alive) in support.iter().enumerate() {
+                if alive {
+                    let mut frontier = support.clone();
+                    frontier[cc] = false;
+                    frontiers.push(frontier);
+                }
+            }
+            assert!(frontiers.len() > 1, "the support is nonempty");
+            for strategy in [Strategy::Aggregated, Strategy::Direct] {
+                for frontier in &frontiers {
+                    let resumed = Reasoner::with_budget_resumed(
+                        &schema,
+                        &ExpansionConfig::default(),
+                        strategy,
+                        &budget,
+                        Some(frontier),
+                    )
+                    .unwrap();
+                    let report = certify_reasoner(&resumed, &budget).unwrap();
+                    assert!(
+                        report
+                            .failures
+                            .iter()
+                            .any(|f| f.starts_with("no Farkas certificate")),
+                        "{strategy:?} from {frontier:?}: {:?}",
+                        report.failures
+                    );
+                }
+            }
+        }
     }
 }

@@ -60,6 +60,16 @@ struct StandardForm {
 /// slack per inequality row, then one artificial per row whose slack cannot
 /// seed the basis. Each row's entries are pushed in that order, so they come
 /// out sorted by column without a sort.
+///
+/// A row is negated when its right-hand side is negative, and also when it
+/// is a `>=` row with a zero right-hand side. Either way its slack then
+/// enters with +1 and seeds the basis, as it does on every `<=` row with a
+/// nonnegative right-hand side: the solve starts at the origin, which
+/// satisfies every homogeneous row of Ψ_S (`S − m·C ≥ 0`, `n·C − S ≥ 0`,
+/// `x_c − t_c ≥ 0`). Artificials remain only on `=` rows and on rows, such
+/// as `x_c ≥ 1`, that exclude the origin. Which optimal vertex a solve
+/// returns depends on this starting basis, so a witness is one optimal
+/// vertex among possibly several; feasibility and optimal values do not.
 fn build_standard_form(sys: &LinSystem, with_t: bool) -> StandardForm {
     // --- structural columns ---
     let mut next_col = 0usize;
@@ -138,7 +148,7 @@ fn build_standard_form(sys: &LinSystem, with_t: bool) -> StandardForm {
             slack_cursor += 1;
             slack_cursor - 1
         });
-        if rhs.is_negative() {
+        if rhs.is_negative() || (cmp == Cmp::Ge && rhs.is_zero()) {
             for (_, v) in &mut entries {
                 *v = -&*v;
             }
@@ -533,6 +543,88 @@ mod tests {
             optimize_governed(&sys, &LinExpr::var(x), Direction::Minimize, &starved),
             Err(LinearError::Interrupted)
         );
+    }
+
+    /// Counts the units charged, refusing none.
+    #[derive(Default)]
+    struct Counted(std::cell::Cell<u64>);
+
+    impl WorkBudget for Counted {
+        fn consume(&self, units: u64) -> bool {
+            self.0.set(self.0.get() + units);
+            true
+        }
+    }
+
+    /// Ψ_S's shape: every row is a homogeneous `>=`, so every slack seeds
+    /// the basis at the origin and no artificial column is built.
+    #[test]
+    fn homogeneous_ge_rows_start_from_their_slacks() {
+        let mut sys = LinSystem::new();
+        let x = sys.add_var(VarKind::Nonneg);
+        let y = sys.add_var(VarKind::Nonneg);
+        let z = sys.add_var(VarKind::Nonneg);
+        sys.push(LinExpr::from_terms([(x, 1), (y, -2)]), Cmp::Ge, r(0));
+        sys.push(LinExpr::from_terms([(y, 3), (x, -1)]), Cmp::Ge, r(0));
+        sys.push(LinExpr::from_terms([(y, 1), (z, -1)]), Cmp::Ge, r(0));
+        let mut sf = build_standard_form(&sys, false);
+        assert_eq!(sf.ncols, 3 + 3, "three structural and three slack columns");
+        let charged = Counted::default();
+        assert!(sf.tableau.phase_one(&charged).unwrap());
+        assert_eq!((charged.0.get(), sf.tableau.pivots.len()), (0, 0));
+
+        // A strict row relaxed by t is a homogeneous `>=` row as well.
+        sys.push(LinExpr::var(x), Cmp::Gt, r(0));
+        let mut sf = build_standard_form(&sys, true);
+        assert_eq!(sf.ncols, 3 + 1 + 5, "t and five slacks, no artificial");
+        let Feasibility::Feasible(sol) = sf.feasibility(&sys, &Unlimited).unwrap() else {
+            panic!("expected feasible");
+        };
+        assert!(sol.value(x).is_positive());
+    }
+
+    /// A homogeneous equality still takes an artificial, but it starts at
+    /// zero: phase 1 stops before pricing, and eviction alone pivots the
+    /// artificial out, on the row's first stored entry even though that
+    /// entry is negative.
+    #[test]
+    fn zero_equality_row_is_cleared_by_eviction_alone() {
+        let mut sys = LinSystem::new();
+        let x = sys.add_var(VarKind::Nonneg);
+        let y = sys.add_var(VarKind::Nonneg);
+        sys.push(LinExpr::from_terms([(x, 2), (y, -1)]), Cmp::Ge, r(0));
+        sys.push(LinExpr::from_terms([(x, -1), (y, 1)]), Cmp::Eq, r(0));
+        let mut sf = build_standard_form(&sys, false);
+        // Columns: x, y, the first row's slack, the second row's artificial.
+        assert_eq!(sf.ncols, 4);
+        let charged = Counted::default();
+        assert!(sf.tableau.phase_one(&charged).unwrap());
+        assert_eq!(charged.0.get(), 0, "no pricing, no pivot");
+        assert_eq!(sf.tableau.pivots, vec![(0, 3)]);
+        let obj = LinExpr::from_terms([(x, 1), (y, 1)]);
+        assert_eq!(
+            optimize(&sys, &obj, Direction::Maximize),
+            Ok(OptOutcome::Unbounded)
+        );
+    }
+
+    /// A `>=` row with a positive right-hand side excludes the origin, so
+    /// it keeps its artificial and phase 1 pivots it out.
+    #[test]
+    fn positive_ge_row_keeps_its_artificial() {
+        let mut sys = LinSystem::new();
+        let x = sys.add_var(VarKind::Nonneg);
+        let y = sys.add_var(VarKind::Nonneg);
+        sys.push(LinExpr::from_terms([(x, 1), (y, 1)]), Cmp::Ge, r(1));
+        sys.push(LinExpr::from_terms([(x, 1), (y, -1)]), Cmp::Ge, r(0));
+        let mut sf = build_standard_form(&sys, false);
+        // Columns: x, y, two slacks, the first row's artificial.
+        assert_eq!(sf.ncols, 5);
+        let charged = Counted::default();
+        assert!(sf.tableau.phase_one(&charged).unwrap());
+        assert_eq!(charged.0.get(), 1, "one pivot brings the sum to zero");
+        assert_eq!(sf.tableau.pivots, vec![(0, 4)]);
+        assert_eq!(sf.extract(&sys).values(), &[r(1), r(0)]);
     }
 
     #[test]

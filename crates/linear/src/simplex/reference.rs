@@ -34,7 +34,7 @@ impl DenseTableau {
             *c = Rational::one();
         }
         self.install_cost(cost);
-        self.pivot_loop(self.ncols);
+        self.pivot_loop(self.ncols, true);
         if self.objective_value().is_positive() {
             return false;
         }
@@ -47,7 +47,7 @@ impl DenseTableau {
         let mut cost = vec![Rational::zero(); self.ncols + 1];
         cost[..objective.len()].clone_from_slice(objective);
         self.install_cost(cost);
-        self.pivot_loop(self.art_start)
+        self.pivot_loop(self.art_start, false)
     }
 
     fn install_cost(&mut self, mut cost: Vec<Rational>) {
@@ -73,8 +73,11 @@ impl DenseTableau {
         }
     }
 
-    fn pivot_loop(&mut self, col_limit: usize) -> bool {
+    fn pivot_loop(&mut self, col_limit: usize, stop_at_zero: bool) -> bool {
         loop {
+            if stop_at_zero && self.cost[self.ncols].is_zero() {
+                return true;
+            }
             let Some(enter) = (0..col_limit).find(|&j| self.cost[j].is_negative()) else {
                 return true;
             };
@@ -227,7 +230,7 @@ fn build_dense(sys: &LinSystem, with_t: bool) -> DenseForm {
             slack_cursor += 1;
         }
         row[max_cols] = rhs.clone();
-        if rhs.is_negative() {
+        if rhs.is_negative() || (cmp == Cmp::Ge && rhs.is_zero()) {
             for v in row.iter_mut() {
                 *v = -v.clone();
             }

@@ -1,8 +1,12 @@
 //! Sparse exact-rational simplex tableau with Bland's anti-cycling rule.
 //!
 //! The tableau solves problems already in standard form:
-//! `min c·y  s.t.  A y = b,  y >= 0,  b >= 0`, with an initial basis of
-//! artificial (and lucky slack) columns supplied by the caller.
+//! `min c·y  s.t.  A y = b,  y >= 0,  b >= 0`, with an initial basis
+//! supplied by the caller: the slack of every inequality row whose slack
+//! enters with +1, which covers all of Ψ_S's homogeneous rows, and an
+//! artificial column on every other row. Phase 1 minimizes the sum of the
+//! artificials and stops as soon as that sum is zero; an artificial that
+//! starts at zero costs no phase-1 pivot, only an eviction.
 //!
 //! Each constraint row stores only its nonzero `(column, value)` entries, in
 //! increasing column order, plus its right-hand side. Ψ_S rows carry a few
@@ -147,11 +151,14 @@ impl Tableau {
     }
 
     /// Runs phase 1 (minimize the sum of artificial variables). Returns
-    /// `Ok(true)` iff the underlying system is feasible. Afterwards all
-    /// artificial variables are out of the basis (redundant rows are
-    /// dropped) and banned from re-entering. Each pivot iteration charges
-    /// one unit against `budget`; a refused charge aborts with
-    /// [`LinearError::Interrupted`].
+    /// `Ok(true)` iff the underlying system is feasible. The sum cannot go
+    /// below zero, so the loop stops as soon as it reaches zero rather than
+    /// pricing further degenerate pivots; a basis whose artificials all
+    /// start at zero makes no phase-1 pivot and charges nothing, as one
+    /// without artificials does. Afterwards all artificial variables are
+    /// out of the basis (redundant rows are dropped) and banned from
+    /// re-entering. Each pivot iteration charges one unit against
+    /// `budget`; a refused charge aborts with [`LinearError::Interrupted`].
     pub(super) fn phase_one(&mut self, budget: &dyn WorkBudget) -> Result<bool, LinearError> {
         assert!(!self.phase_one_done, "phase_one run twice");
         self.phase_one_done = true;
@@ -166,7 +173,7 @@ impl Tableau {
         }
         self.install_cost(cost);
 
-        let outcome = self.pivot_loop(self.ncols, budget)?; // artificials may enter in phase 1
+        let outcome = self.pivot_loop(self.ncols, true, budget)?; // artificials may enter in phase 1
         debug_assert_eq!(
             outcome,
             PivotOutcome::Optimal,
@@ -191,7 +198,7 @@ impl Tableau {
         let mut cost = vec![Rational::zero(); self.ncols + 1];
         cost[..objective.len()].clone_from_slice(objective);
         self.install_cost(cost);
-        self.pivot_loop(self.art_start, budget)
+        self.pivot_loop(self.art_start, false, budget)
     }
 
     /// Expresses `cost` over the nonbasic columns by subtracting every row
@@ -223,16 +230,23 @@ impl Tableau {
 
     /// Bland's-rule pivot loop: entering column is the smallest-index column
     /// below `col_limit` with negative reduced cost; leaving row attains the
-    /// minimum ratio, ties broken by smallest basic column index. Charges
-    /// one budget unit per iteration — Bland's rule guarantees termination
-    /// but not *when*, and exact rationals make each pivot arbitrarily
-    /// expensive, so this is the cancellation point for the whole solver.
+    /// minimum ratio, ties broken by smallest basic column index. With
+    /// `stop_at_zero` the loop also ends, before pricing, once the objective
+    /// value is zero, which is optimal for an objective that cannot go
+    /// negative. Charges one budget unit per pricing iteration — Bland's
+    /// rule guarantees termination but not *when*, and exact rationals make
+    /// each pivot arbitrarily expensive, so this is the cancellation point
+    /// for the whole solver.
     fn pivot_loop(
         &mut self,
         col_limit: usize,
+        stop_at_zero: bool,
         budget: &dyn WorkBudget,
     ) -> Result<PivotOutcome, LinearError> {
         loop {
+            if stop_at_zero && self.cost[self.ncols].is_zero() {
+                return Ok(PivotOutcome::Optimal);
+            }
             if !budget.consume(1) {
                 return Err(LinearError::Interrupted);
             }

@@ -53,6 +53,89 @@ fn arb_system(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomS
     })
 }
 
+/// Ψ_S-shaped systems: nonnegative unknowns, every right-hand side zero,
+/// mostly `>=` rows with some equalities, and optionally one unknown held
+/// at `>= 1` as the fixpoint's probes hold a compound class. The origin
+/// satisfies every row but that last one.
+fn arb_psi_shaped(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomSystem> {
+    (2..=max_vars).prop_flat_map(move |nv| {
+        let cmp = prop_oneof![Just(Cmp::Ge), Just(Cmp::Ge), Just(Cmp::Ge), Just(Cmp::Eq)];
+        let constraint = (
+            proptest::collection::vec((-3i64..=3, 0..nv), 1..=nv.min(3)),
+            cmp,
+        );
+        (
+            proptest::collection::vec(constraint, 1..=max_cons),
+            proptest::option::of(0..nv),
+        )
+            .prop_map(move |(cons, pinned)| {
+                let mut sys = LinSystem::new();
+                let vars: Vec<_> = (0..nv).map(|_| sys.add_var(VarKind::Nonneg)).collect();
+                for (terms, cmp) in cons {
+                    let mut e = LinExpr::new();
+                    for (c, vi) in terms {
+                        e.add_term(vars[vi], Rational::from_int(c));
+                    }
+                    sys.push(e, cmp, Rational::zero());
+                }
+                if let Some(vi) = pinned {
+                    sys.push(LinExpr::var(vars[vi]), Cmp::Ge, Rational::one());
+                }
+                RandomSystem { sys }
+            })
+    })
+}
+
+/// A system together with a random objective over its variables.
+fn with_objective(
+    systems: impl Strategy<Value = RandomSystem>,
+) -> impl Strategy<Value = (RandomSystem, LinExpr)> {
+    systems.prop_flat_map(|rs| {
+        let nv = rs.sys.num_vars();
+        let terms = proptest::collection::vec((-3i64..=3, 0..nv), 0..=nv);
+        let objective = terms.prop_map(|terms| {
+            let mut obj = LinExpr::new();
+            for (c, vi) in terms {
+                obj.add_term(cr_linear::VarId(vi as u32), Rational::from_int(c));
+            }
+            obj
+        });
+        (Just(rs), objective)
+    })
+}
+
+/// `optimize` in both directions agrees with the other engines: an
+/// infeasible or unbounded answer matches `solve`, and an optimal one is
+/// feasible, evaluates to its value, and is beaten by no point that
+/// Fourier–Motzkin (which shares no code with the simplex) can find:
+/// `sys` plus `obj > value` (maximizing) or `obj < value` (minimizing) is
+/// infeasible. This pins optimal values while leaving the simplex free to
+/// return any optimal vertex.
+fn optimum_is_right(sys: &LinSystem, obj: &LinExpr) -> Result<(), TestCaseError> {
+    for (direction, beats) in [
+        (Direction::Maximize, Cmp::Gt),
+        (Direction::Minimize, Cmp::Lt),
+    ] {
+        match optimize(sys, obj, direction).unwrap() {
+            OptOutcome::Infeasible => prop_assert!(!solve(sys).is_feasible()),
+            OptOutcome::Unbounded => prop_assert!(solve(sys).is_feasible()),
+            OptOutcome::Optimal { value, solution } => {
+                prop_assert_eq!(sys.check(solution.values()), Ok(()));
+                prop_assert_eq!(obj.eval(solution.values()), value.clone());
+                let mut better = sys.clone();
+                better.push(obj.clone(), beats, value.clone());
+                let fm =
+                    solve_fm(&better, FmConfig::default()).expect("budget ample for small systems");
+                prop_assert!(
+                    !fm.is_feasible(),
+                    "{direction:?} optimum {value} beaten on:\n{sys}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -76,31 +159,14 @@ proptest! {
     }
 
     #[test]
-    fn optimum_is_feasible_and_bounds_hold(rs in arb_system(3, 5)) {
+    fn optimum_is_feasible_and_bounds_hold((rs, obj) in with_objective(arb_system(4, 6))) {
         prop_assume!(!rs.sys.has_strict());
-        let mut obj = LinExpr::new();
-        for i in 0..rs.sys.num_vars() {
-            obj.add_term(cr_linear::VarId(i as u32), Rational::from_int(1));
-        }
-        match optimize(&rs.sys, &obj, Direction::Maximize).unwrap() {
-            OptOutcome::Infeasible => {
-                prop_assert!(!solve(&rs.sys).is_feasible());
-            }
-            OptOutcome::Unbounded => {
-                prop_assert!(solve(&rs.sys).is_feasible());
-            }
-            OptOutcome::Optimal { value, solution } => {
-                prop_assert_eq!(rs.sys.check(solution.values()), Ok(()));
-                prop_assert_eq!(obj.eval(solution.values()), value.clone());
-                // Any feasible point found by the other engine must not
-                // beat the claimed optimum.
-                if let Ok(Feasibility::Feasible(other)) =
-                    solve_fm(&rs.sys, FmConfig::default())
-                {
-                    prop_assert!(obj.eval(other.values()) <= value);
-                }
-            }
-        }
+        optimum_is_right(&rs.sys, &obj)?;
+    }
+
+    #[test]
+    fn optimum_bounds_hold_on_psi_shaped((rs, obj) in with_objective(arb_psi_shaped(5, 6))) {
+        optimum_is_right(&rs.sys, &obj)?;
     }
 
     #[test]
