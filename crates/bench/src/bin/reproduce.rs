@@ -862,8 +862,9 @@ fn d_series(quick: bool, rows: &mut Vec<String>) {
 /// base/new over `throughput_rps` (lower throughput = regression). Ratios
 /// are aggregated per family (E1, E2, E4, E5, daemon) by geometric mean —
 /// a single noisy row cannot trip the gate, a consistent slowdown across
-/// a family does. The same logic is mirrored by `ci/bench_gate.py` so the
-/// gate runs both natively and from CI scripting.
+/// a family does. CI runs this gate against the committed baseline, and
+/// self-tests it against a copy of the fresh snapshot doctored 20× faster,
+/// which must exit 1.
 fn compare_snapshots(new_path: &str, base_path: &str, threshold_pct: f64) {
     let read = |p: &str| -> cr_trace::json::Value {
         let text = std::fs::read_to_string(p).unwrap_or_else(|e| {

@@ -1,9 +1,10 @@
 //! Admission control: deadline screening, cost estimation, and adaptive
 //! (AIMD) load shedding.
 //!
-//! Every `check`/`implies` request passes through [`Admission::admit`]
-//! before it is queued. A request is refused — with the retryable `shed`
-//! status, never a wrong answer — when:
+//! Every reasoning request (`check`, `implies`, `pin_base`,
+//! `check_delta`) passes through [`Admission::admit`] before it is
+//! queued. A request is refused — with the retryable `shed` status, never
+//! a wrong answer — when:
 //!
 //! 1. its `deadline_ms` has already expired (or is zero) on arrival;
 //! 2. the current queue delay alone would consume its whole deadline;
@@ -33,6 +34,10 @@ use std::time::Duration;
 use cr_core::Clock;
 
 use crate::protocol::MAX_PRIORITY;
+
+/// The daemon's queue-delay target, in milliseconds: sustained delay
+/// above it sheds low-priority work.
+pub(crate) const SHED_TARGET_MS: u64 = 50;
 
 /// Queue-delay EWMA smoothing factor, in percent (α = 0.2).
 const EWMA_ALPHA_PCT: u64 = 20;
@@ -106,11 +111,11 @@ impl Admission {
         }
     }
 
-    /// Admission decision for a `check`/`implies` request.
+    /// Admission decision for a reasoning request.
     ///
     /// `deadline_ms` is the request's declared end-to-end deadline (if
-    /// any), `priority` its 0..=9 priority, `schema_len` the DSL source
-    /// length in bytes.
+    /// any), `priority` its 0..=9 priority, `schema_len` its payload
+    /// length in bytes (schema source plus diff lines).
     pub fn admit(&self, deadline_ms: Option<u64>, priority: u8, schema_len: usize) -> Admit {
         cr_faults::point!("server.admission.shed", |p: Option<String>| Admit::shed(
             p.unwrap_or_else(|| "injected shed".to_string()),

@@ -23,11 +23,28 @@ pub struct Answer {
 }
 
 impl Answer {
-    fn error(message: String) -> Answer {
+    pub(crate) fn error(message: String) -> Answer {
         Answer {
             status: Status::Error,
             verdict: String::new(),
             detail: vec![message],
+        }
+    }
+
+    /// The answer to `check`, from its unsatisfiable class names followed
+    /// by `rel <name>` lines. An empty-in-every-finite-model relationship
+    /// is reported but, as in the CLI, only unsatisfiable *classes* make
+    /// the verdict negative.
+    fn checked(unsat: Vec<String>) -> Answer {
+        let (status, verdict) = if unsat.iter().any(|n| !n.starts_with("rel ")) {
+            (Status::Negative, "unsatisfiable")
+        } else {
+            (Status::Ok, "satisfiable")
+        };
+        Answer {
+            status,
+            verdict: verdict.to_string(),
+            detail: unsat,
         }
     }
 
@@ -109,31 +126,7 @@ pub fn check_certified(
             unsat.push(format!("rel {}", schema.rel_name(rel)));
         }
     }
-    let answer = if unsat.is_empty() {
-        Answer {
-            status: Status::Ok,
-            verdict: "satisfiable".to_string(),
-            detail: Vec::new(),
-        }
-    } else {
-        // An empty-in-every-finite-model relationship is reported but, as
-        // in the CLI, only unsatisfiable *classes* make the verdict
-        // negative.
-        let any_class_unsat = unsat.iter().any(|n| !n.starts_with("rel "));
-        Answer {
-            status: if any_class_unsat {
-                Status::Negative
-            } else {
-                Status::Ok
-            },
-            verdict: if any_class_unsat {
-                "unsatisfiable".to_string()
-            } else {
-                "satisfiable".to_string()
-            },
-            detail: unsat,
-        }
-    };
+    let answer = Answer::checked(unsat);
     let certified = certify.then(|| cr_core::certify_reasoner(&reasoner, budget));
     (answer, certified)
 }
@@ -165,8 +158,7 @@ pub enum DeltaEval {
 
 /// `check_delta`: satisfiability of a pinned base with a diff applied,
 /// reusing the base's cached expansion/support/witness (see `cr-delta`).
-/// Errors (malformed diff, budget trips) come back as an [`Answer`] in
-/// [`DeltaEval::Answered`] with no `next` — hence the `Option`.
+/// Errors (malformed diff, budget trips) come back as the `Err` [`Answer`].
 pub fn check_delta(
     base: &cr_delta::DeltaContext,
     diff: &cr_delta::SchemaDiff,
@@ -181,24 +173,10 @@ pub fn check_delta(
     );
     match outcome {
         Ok(cr_delta::DeltaOutcome::Checked(v)) => {
-            let mut detail: Vec<String> = v.unsat_classes.clone();
-            detail.extend(v.unsat_rels.iter().map(|r| format!("rel {r}")));
-            let any_class_unsat = !v.unsat_classes.is_empty();
-            let answer = Answer {
-                status: if any_class_unsat {
-                    Status::Negative
-                } else {
-                    Status::Ok
-                },
-                verdict: if any_class_unsat {
-                    "unsatisfiable".to_string()
-                } else {
-                    "satisfiable".to_string()
-                },
-                detail,
-            };
+            let mut unsat = v.unsat_classes;
+            unsat.extend(v.unsat_rels.iter().map(|r| format!("rel {r}")));
             Ok(DeltaEval::Answered {
-                answer,
+                answer: Answer::checked(unsat),
                 next: v.next,
             })
         }

@@ -125,7 +125,7 @@ impl LeaderGuard<'_> {
     /// must not inherit) and releases every follower.
     pub fn publish(mut self, answer: Option<CachedVerdict>) {
         self.published = true;
-        self.inflight.finish(&self.key.clone(), answer);
+        self.inflight.finish(&self.key, answer);
     }
 }
 
@@ -134,7 +134,7 @@ impl Drop for LeaderGuard<'_> {
         if !self.published {
             // Leader unwound without publishing: release followers with
             // "compute it yourself".
-            self.inflight.finish(&self.key.clone(), None);
+            self.inflight.finish(&self.key, None);
         }
     }
 }

@@ -8,9 +8,10 @@
 //! daemon, std-only:
 //!
 //! * [`protocol`] — a versioned JSON-lines request/response protocol
-//!   (`{"v":1,"id":…,"op":"check"|"implies"|"ping"|"stats"|"shutdown",…}`)
-//!   spoken identically over TCP and stdio, built on `cr-trace`'s
-//!   hand-rolled JSON writer/parser;
+//!   (`{"v":1,"id":…,"op":…,…}` with the reasoning ops `check`, `implies`,
+//!   `pin_base` and `check_delta`, and the plain ops `ping`, `stats`,
+//!   `shutdown`, `replicate` and `promote`) spoken identically over TCP
+//!   and stdio, built on `cr-trace`'s hand-rolled JSON writer/parser;
 //! * [`pool`] — a fixed-size worker thread pool with a bounded queue
 //!   (backpressure, not unbounded buffering, under overload);
 //! * [`cache`] — a sharded LRU verdict cache keyed by
@@ -21,9 +22,12 @@
 //! * [`persist`] — the durable side of the cache: a crash-safe `cr-store`
 //!   log of *certified* verdicts, rehydrated on boot so a restarted daemon
 //!   answers previously settled questions warm;
-//! * [`Server`] — ties the above together; every response can embed a
-//!   `cr-trace` `RunReport` whose `cache_hits` / `cache_misses` counters
-//!   prove where the verdict came from;
+//! * [`Server`] — ties the above together. Every reasoning op takes one
+//!   request pipeline (budget and deadline, quarantine, in-flight
+//!   registration, panic containment; then cache, store, singleflight,
+//!   compute, certify, persist), and its response embeds a `cr-trace`
+//!   `RunReport` whose `cache_hits` / `cache_misses` counters prove where
+//!   the verdict came from;
 //! * [`signal`] — SIGTERM/SIGINT → graceful drain; a second signal aborts
 //!   in-flight reasoning via per-request cancel tokens and the budget
 //!   governor.
@@ -69,11 +73,11 @@ pub mod transport;
 
 mod server;
 
-pub use admission::{backoff_delay, Admission, Admit};
+pub use admission::backoff_delay;
 pub use cache::{CacheKey, CachedVerdict, VerdictCache};
-pub use metrics::{MetricsView, SharedSink, Telemetry};
+pub use metrics::{MetricsView, SharedSink};
 pub use persist::StoreRecovery;
-pub use pool::{Job, SubmitError, WorkerPool};
+pub use pool::{Job, SubmitError};
 pub use protocol::{Op, ReplChunk, Request, Response, Status, PROTOCOL_VERSION};
 pub use server::{FollowerStep, Server, ServerConfig};
 pub use transport::{Conn, Connector, Listener, TcpConn, TcpConnector, TcpListenerSource};

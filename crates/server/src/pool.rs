@@ -7,15 +7,11 @@
 //! [`WorkerPool::submit_blocking`] waits for space (what `crsat batch`
 //! wants — local work, no client to push back on).
 //!
-//! Shutdown is cooperative and two-flavored:
-//!
-//! * [`shutdown_drain`](WorkerPool::shutdown_drain) — stop accepting new
-//!   jobs, run everything already queued, join the workers (SIGTERM /
-//!   ctrl-D path);
-//! * [`shutdown_now`](WorkerPool::shutdown_now) — additionally discard the
-//!   queue; jobs already *running* still finish (in-flight reasoning is
-//!   interrupted separately, via the `CancelToken` the server threads into
-//!   every request budget).
+//! Shutdown is cooperative: [`shutdown_drain`](WorkerPool::shutdown_drain)
+//! stops accepting new jobs, runs everything already queued, and joins the
+//! workers (SIGTERM / ctrl-D path). In-flight reasoning is interrupted
+//! separately, via the `CancelToken` the server threads into every request
+//! budget.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -163,23 +159,7 @@ impl WorkerPool {
     /// Stops accepting new jobs, runs everything already queued, and joins
     /// the workers. Idempotent.
     pub fn shutdown_drain(&self) {
-        self.shutdown(false);
-    }
-
-    /// Stops accepting new jobs, discards the queue, and joins the workers
-    /// once in-flight jobs finish. Idempotent.
-    pub fn shutdown_now(&self) {
-        self.shutdown(true);
-    }
-
-    fn shutdown(&self, discard_queue: bool) {
-        {
-            let mut state = self.shared.state.lock().expect("pool poisoned");
-            state.shutdown = true;
-            if discard_queue {
-                state.jobs.clear();
-            }
-        }
+        self.shared.state.lock().expect("pool poisoned").shutdown = true;
         self.shared.job_ready.notify_all();
         self.shared.space_ready.notify_all();
         let handles: Vec<JoinHandle<()>> =

@@ -37,12 +37,14 @@
 //!   takes, e.g. `["isa","A","B"]`, `["min","C","R.U","2"]`,
 //!   `["max","C","R.U","3"]`.
 //! * `timeout_ms`, `max_steps` (optional): per-request resource budget.
-//! * `deadline_ms` (optional, `check`/`implies`): total milliseconds from
-//!   server receipt within which the response must be produced — covers
-//!   queueing, not just reasoning. Admission rejects (with status `shed`)
-//!   requests whose deadline has already expired or provably cannot fit;
-//!   what remains of the deadline at pickup becomes the request's budget.
-//! * `priority` (optional, `check`/`implies`): 0 (most important) to 9;
+//! * `deadline_ms` (optional, the reasoning ops `check`/`implies`/
+//!   `pin_base`/`check_delta`): total milliseconds from server receipt
+//!   within which the response must be produced — covers queueing, not
+//!   just reasoning. Admission rejects (with status `shed`) requests whose
+//!   deadline has already expired or provably cannot fit; a request whose
+//!   deadline ran out in the queue is shed at pickup, and what remains of
+//!   the deadline at pickup becomes the request's budget.
+//! * `priority` (optional, the reasoning ops): 0 (most important) to 9;
 //!   default 5. Under overload the adaptive gate sheds the *highest*
 //!   numbers first.
 //! * `certify` (optional, `check` only): when `true`, the server re-checks
@@ -147,6 +149,13 @@ impl Op {
             Op::PinBase => "pin_base",
             Op::CheckDelta => "check_delta",
         }
+    }
+
+    /// Whether the op runs the reasoning pipeline: it passes the admission
+    /// gate, honours `deadline_ms`, registers in flight, and counts its
+    /// panics toward quarantine.
+    pub(crate) fn is_reasoning(self) -> bool {
+        matches!(self, Op::Check | Op::Implies | Op::PinBase | Op::CheckDelta)
     }
 
     fn parse(s: &str) -> Option<Op> {
@@ -580,13 +589,12 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 }
 
 impl Response {
-    /// An error response (also used for protocol-level rejections).
-    pub fn error(id: impl Into<String>, message: impl Into<String>) -> Response {
+    fn plain(id: String, status: Status, verdict: Option<String>, detail: Vec<String>) -> Response {
         Response {
-            id: id.into(),
-            status: Status::Error,
-            verdict: None,
-            detail: vec![message.into()],
+            id,
+            status,
+            verdict,
+            detail,
             cached: false,
             schema_hash: None,
             report: None,
@@ -595,20 +603,21 @@ impl Response {
         }
     }
 
+    /// A success response naming what was done (`pong`, `stats`,
+    /// `shutting-down`, `replicate`, `promoted`, ...).
+    pub(crate) fn ok(id: impl Into<String>, verdict: impl Into<String>) -> Response {
+        Response::plain(id.into(), Status::Ok, Some(verdict.into()), Vec::new())
+    }
+
+    /// An error response (also used for protocol-level rejections).
+    pub fn error(id: impl Into<String>, message: impl Into<String>) -> Response {
+        Response::plain(id.into(), Status::Error, None, vec![message.into()])
+    }
+
     /// A shed response: admission refused the request; nothing was
     /// computed and the client should back off and retry.
     pub fn shed(id: impl Into<String>, reason: impl Into<String>) -> Response {
-        Response {
-            id: id.into(),
-            status: Status::Shed,
-            verdict: None,
-            detail: vec![reason.into()],
-            cached: false,
-            schema_hash: None,
-            report: None,
-            repl: None,
-            trace_id: None,
-        }
+        Response::plain(id.into(), Status::Shed, None, vec![reason.into()])
     }
 
     /// Serializes to one JSON line (no trailing newline).

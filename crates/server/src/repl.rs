@@ -29,7 +29,7 @@ use cr_trace::json::{self, Value};
 use crate::cache::CachedVerdict;
 use crate::persist::{decode_key, decode_verdict, PersistentStore};
 use crate::protocol::{Op, ReplChunk, Request};
-use crate::transport::{Conn, Connector, TcpConnector};
+use crate::transport::{Conn, Connector};
 
 /// Largest data payload shipped in one replicate response. Bounded so a
 /// cold standby syncing a large log neither stalls the primary's reader
@@ -107,15 +107,11 @@ pub struct FollowerClient {
 }
 
 impl FollowerClient {
-    /// A client for the primary at `addr` (host:port), over TCP.
-    /// `io_timeout` bounds each connect/read/write so a silently dead
-    /// primary cannot wedge the follower past its promotion deadline.
-    pub fn new(addr: impl Into<String>, io_timeout: Duration) -> FollowerClient {
-        FollowerClient::with_connector(addr, io_timeout, Arc::new(TcpConnector))
-    }
-
-    /// A client dialing through an explicit [`Connector`] (the simulation
-    /// injects its in-memory network here).
+    /// A client for the primary at `addr` (host:port), dialing through
+    /// `connector` (TCP in production; the simulation injects its
+    /// in-memory network). `io_timeout` bounds each connect/read/write so
+    /// a silently dead primary cannot wedge the follower past its
+    /// promotion deadline.
     pub fn with_connector(
         addr: impl Into<String>,
         io_timeout: Duration,

@@ -8,6 +8,16 @@
 //! its connection's shared writer. Responses therefore interleave across
 //! requests of one connection — clients correlate by `id`.
 //!
+//! Every reasoning op (`check`, `implies`, `pin_base`, `check_delta`)
+//! takes one request pipeline. Its *envelope* builds the request's budget
+//! (a deadline spent in the queue sheds, what is left caps the timeout),
+//! checks quarantine, registers the request in flight and contains
+//! panics. Inside it, `check`, `implies` and `check_delta` share one
+//! *verdict path*: cache, store read-through, standby refusal,
+//! singleflight, compute, certify, persist, cache fill. The ops differ
+//! only in their plan: how the cache key is built and which computation
+//! a miss runs.
+//!
 //! High availability is three cooperating mechanisms:
 //!
 //! * **Replication / failover** — a server started with `config.follow`
@@ -42,6 +52,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -52,7 +63,7 @@ use cr_core::{Budget, CancelToken, Clock};
 use cr_store::{Replica, Vfs};
 use cr_trace::{Counter, NullSink, RunReport, Tracer};
 
-use crate::admission::{Admission, Admit};
+use crate::admission::{self, Admission, Admit};
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
 use crate::eval;
 use crate::flight;
@@ -99,9 +110,6 @@ pub struct ServerConfig {
     /// prefixes the line with `standby `; promotion rewrites it, so a
     /// client watching the file is redirected without a torn read.
     pub port_file: Option<PathBuf>,
-    /// Queue-delay target for the admission gate: sustained delay above
-    /// this sheds low-priority work (AIMD; see [`Admission`]).
-    pub shed_target_ms: u64,
     /// Supervisor tick interval.
     pub supervise_interval_ms: u64,
     /// Address (`host:port`) for the telemetry endpoint serving
@@ -152,7 +160,6 @@ impl Default for ServerConfig {
             follow_poll_ms: 100,
             promote_after_ms: 3000,
             port_file: None,
-            shed_target_ms: 50,
             supervise_interval_ms: 100,
             metrics_addr: None,
             event_sink: None,
@@ -314,7 +321,7 @@ impl Server {
                 store: RwLock::new(store),
                 replica: Mutex::new(replica),
                 role: AtomicU8::new(if standby { ROLE_STANDBY } else { ROLE_PRIMARY }),
-                admission: Admission::with_clock(config.shed_target_ms, config.clock.clone()),
+                admission: Admission::with_clock(admission::SHED_TARGET_MS, config.clock.clone()),
                 inflight: InflightRegistry::with_clock(config.clock.clone()),
                 poison: PoisonTracker::default(),
                 flights: flight::Inflight::with_clock(config.clock.clone()),
@@ -379,13 +386,6 @@ impl Server {
         self.inner.aggregate.report("serve", outcome)
     }
 
-    /// The server-wide cancellation token. New requests inherit its state;
-    /// prefer [`Server::cancel_inflight`] to also abort work already
-    /// running under per-request tokens.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.inner.cancel.clone()
-    }
-
     /// Aborts all reasoning: trips the server-wide token (so requests
     /// picked up from now on start pre-cancelled) and every in-flight
     /// request's own token (so running work aborts at its next governor
@@ -396,13 +396,13 @@ impl Server {
     }
 
     /// Whether graceful shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
+    fn shutdown_requested(&self) -> bool {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
 
     /// Requests graceful shutdown: transports stop reading; call
     /// [`Server::finish`] to drain.
-    pub fn request_shutdown(&self) {
+    fn request_shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
     }
 
@@ -412,7 +412,7 @@ impl Server {
     }
 
     /// `"primary"` or `"standby"`.
-    pub fn role(&self) -> &'static str {
+    fn role(&self) -> &'static str {
         if self.is_standby() {
             "standby"
         } else {
@@ -510,15 +510,10 @@ impl Server {
     /// can call it directly. (The transport path also runs the admission
     /// gate; this direct path does not — local callers have no queue.)
     pub fn process_line(&self, line: &str) -> Response {
-        let request = match Request::parse(line) {
-            Ok(r) => r,
-            Err(msg) => {
-                self.inner.aggregate.add(Counter::RequestsServed, 1);
-                self.inner.telemetry.record(0, false);
-                return Response::error(Request::salvage_id(line), msg);
-            }
-        };
-        self.process_request(&request)
+        match self.admit_line(line, false) {
+            Ok(request) => self.process_picked(&request, Duration::ZERO),
+            Err(response) => *response,
+        }
     }
 
     /// Processes an already-parsed request (the `crsat batch` entry point —
@@ -542,43 +537,10 @@ impl Server {
     /// (the caller's thread is the worker), so the one-response-per-line
     /// contract is checkable without sockets.
     pub fn respond_line(&self, line: &str) -> Response {
-        let mut request = match Request::parse(line) {
-            Ok(r) => r,
-            Err(msg) => {
-                self.inner.aggregate.add(Counter::RequestsServed, 1);
-                self.inner.telemetry.record(0, false);
-                return Response::error(Request::salvage_id(line), msg);
-            }
-        };
-        if request.trace_id.is_none() {
-            request.trace_id = Some(cr_trace::mint_trace_id());
+        match self.admit_line(line, true) {
+            Ok(request) => self.process_contained(&request, Duration::ZERO),
+            Err(response) => *response,
         }
-        if matches!(
-            request.op,
-            Op::Check | Op::Implies | Op::PinBase | Op::CheckDelta
-        ) {
-            let schema_len = request.schema.as_deref().map_or(0, str::len)
-                + request.diff.iter().map(String::len).sum::<usize>();
-            if let Admit::Shed { reason, deadline } =
-                self.inner
-                    .admission
-                    .admit(request.deadline_ms, request.priority, schema_len)
-            {
-                self.count_shed(deadline);
-                let mut response = Response::shed(request.id.clone(), reason);
-                response.trace_id = request.trace_id.clone();
-                return response;
-            }
-        }
-        let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.process_picked(&request, Duration::ZERO)
-        }));
-        work.unwrap_or_else(|panic| {
-            let mut response =
-                Response::error(request.id.clone(), format!("panic: {}", panic_text(&panic)));
-            response.trace_id = request.trace_id.clone();
-            response
-        })
     }
 
     /// Submits a job to the server's worker pool, blocking while the
@@ -598,18 +560,77 @@ impl Server {
         self.inner.pool.try_submit(job)
     }
 
+    /// The first step of every entry point: parse the line and mint its
+    /// trace id — before the gate, so even a response shed right here
+    /// carries an id the client can quote. With `gate`, a reasoning op
+    /// then passes the admission gate. `Err` is the response the line gets
+    /// instead: a parse error or a shed.
+    fn admit_line(&self, line: &str, gate: bool) -> Result<Request, Box<Response>> {
+        let mut request = Request::parse(line).map_err(|msg| {
+            self.inner.aggregate.add(Counter::RequestsServed, 1);
+            self.inner.telemetry.record(0, false);
+            Box::new(Response::error(Request::salvage_id(line), msg))
+        })?;
+        request.trace_id.get_or_insert_with(cr_trace::mint_trace_id);
+        if gate && request.op.is_reasoning() {
+            let admit = self.inner.admission.admit(
+                request.deadline_ms,
+                request.priority,
+                payload_len(&request),
+            );
+            if let Admit::Shed { reason, deadline } = admit {
+                self.count_shed(deadline);
+                let mut response = Response::shed(request.id, reason);
+                response.trace_id = request.trace_id;
+                return Err(Box::new(response));
+            }
+        }
+        Ok(request)
+    }
+
+    /// [`Server::process_picked`] behind a last line of defense: a panic
+    /// outside a reasoning op's own containment (in a plain op, or in
+    /// parsing and canonicalization before the envelope registers the
+    /// request) still costs the client exactly one error response, never
+    /// a missing reply.
+    fn process_contained(&self, request: &Request, queue_delay: Duration) -> Response {
+        let work = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.process_picked(request, queue_delay)
+        }));
+        work.unwrap_or_else(|panic| {
+            let mut response = Response::error(
+                request.id.clone(),
+                format!("panic: {}", panic_text(&*panic)),
+            );
+            response.trace_id = request.trace_id.clone();
+            response
+        })
+    }
+
     /// A request picked up for execution after `queue_delay` in the queue.
     /// Central accounting point: every response produced here is counted,
     /// and queue delay feeds the admission gate's overload estimate.
     fn process_picked(&self, request: &Request, queue_delay: Duration) -> Response {
         let started = Instant::now();
-        if matches!(
-            request.op,
-            Op::Check | Op::Implies | Op::PinBase | Op::CheckDelta
-        ) {
-            self.inner.admission.note_queue_delay(queue_delay);
-        }
-        let mut response = self.process(request, queue_delay);
+        let id = request.id.as_str();
+        let mut response = match request.op {
+            Op::Ping => Response::ok(id, "pong"),
+            Op::Stats => self.stats_response(id),
+            Op::Shutdown => {
+                self.request_shutdown();
+                Response::ok(id, "shutting-down")
+            }
+            Op::Replicate => self.handle_replicate(request),
+            Op::Promote => match self.promote() {
+                Ok(word) => Response::ok(id, word),
+                Err(e) => Response::error(id, format!("promote: {e}")),
+            },
+            // Every reasoning op (`Op::is_reasoning`).
+            _ => {
+                self.inner.admission.note_queue_delay(queue_delay);
+                self.envelope(request, queue_delay)
+            }
+        };
         // Trace propagation is centralized: whatever id the request
         // carried (client-supplied or minted at admission) is echoed on
         // its response, whichever path produced it.
@@ -633,42 +654,6 @@ impl Server {
         response
     }
 
-    fn process(&self, request: &Request, queue_delay: Duration) -> Response {
-        match request.op {
-            Op::Ping => Response {
-                id: request.id.clone(),
-                status: Status::Ok,
-                verdict: Some("pong".to_string()),
-                detail: Vec::new(),
-                cached: false,
-                schema_hash: None,
-                report: None,
-                repl: None,
-                trace_id: None,
-            },
-            Op::Stats => self.stats_response(&request.id),
-            Op::Shutdown => {
-                self.request_shutdown();
-                Response {
-                    id: request.id.clone(),
-                    status: Status::Ok,
-                    verdict: Some("shutting-down".to_string()),
-                    detail: Vec::new(),
-                    cached: false,
-                    schema_hash: None,
-                    report: None,
-                    repl: None,
-                    trace_id: None,
-                }
-            }
-            Op::Replicate => self.handle_replicate(request),
-            Op::Promote => self.handle_promote(request),
-            Op::Check | Op::Implies => self.reason(request, queue_delay),
-            Op::PinBase => self.handle_pin_base(request),
-            Op::CheckDelta => self.handle_check_delta(request, queue_delay),
-        }
-    }
-
     /// Primary side of replication: answer a standby's poll with a log
     /// chunk.
     fn handle_replicate(&self, request: &Request) -> Response {
@@ -687,135 +672,253 @@ impl Server {
                         .add(Counter::ReplBytesShipped, chunk.data.len() as u64);
                 }
                 Response {
-                    id: request.id.clone(),
-                    status: Status::Ok,
-                    verdict: Some("replicate".to_string()),
-                    detail: Vec::new(),
-                    cached: false,
-                    schema_hash: None,
-                    report: None,
                     repl: Some(chunk),
-                    trace_id: None,
+                    ..Response::ok(request.id.clone(), "replicate")
                 }
             }
             Err(e) => Response::error(request.id.clone(), format!("replicate: {e}")),
         }
     }
 
-    fn handle_promote(&self, request: &Request) -> Response {
-        match self.promote() {
-            Ok(word) => Response {
-                id: request.id.clone(),
-                status: Status::Ok,
-                verdict: Some(word.to_string()),
-                detail: Vec::new(),
-                cached: false,
-                schema_hash: None,
-                report: None,
-                repl: None,
-                trace_id: None,
-            },
-            Err(e) => Response::error(request.id.clone(), format!("promote: {e}")),
+    /// The envelope every reasoning op runs in. It builds the request's
+    /// budget (deadline propagation: a deadline spent in the queue sheds,
+    /// what is left of it caps the timeout), plans the op, refuses a
+    /// quarantined schema, and registers the request in flight, so the
+    /// supervisor's wedge timer and [`Server::cancel_inflight`] reach it.
+    /// The work runs under `catch_unwind`: a panic (a bug, or an injected
+    /// fault) costs one `aborted` response and counts toward quarantine.
+    /// Every reasoning response is assembled here.
+    fn envelope(&self, request: &Request, queue_delay: Duration) -> Response {
+        let deadline_left = request
+            .deadline_ms
+            .map(|ms| Duration::from_millis(ms).saturating_sub(queue_delay));
+        if deadline_left.is_some_and(|left| left.is_zero()) {
+            return Response::shed(request.id.clone(), "deadline expired while queued");
         }
-    }
-
-    /// A per-request budget for the delta ops: tracer, cancellation, and
-    /// the request's (or server default) timeout/step limits. The returned
-    /// tracer outlives the budget so the handler can build a RunReport.
-    fn delta_budget(&self) -> (Tracer, CancelToken) {
+        let mut limit_ms = request.timeout_ms.or(self.inner.config.default_timeout_ms);
+        if let Some(left) = deadline_left {
+            let left_ms = u64::try_from(left.as_millis()).unwrap_or(u64::MAX);
+            limit_ms = Some(limit_ms.map_or(left_ms, |t| t.min(left_ms)));
+        }
+        // Per-request observability and cancellation: the embedded report
+        // accounts for exactly this request's work, and the supervisor can
+        // trip exactly this request without aborting its neighbors. The
+        // server-wide token's state is inherited at pickup.
         let tracer = Tracer::new(Box::new(NullSink));
         let cancel = CancelToken::new();
         if self.inner.cancel.is_cancelled() {
             cancel.cancel();
         }
-        (tracer, cancel)
-    }
-
-    fn budget_for(&self, request: &Request, tracer: &Tracer, cancel: &CancelToken) -> Budget {
         let mut budget = Budget::unlimited()
-            .with_tracer(tracer)
-            .with_cancel_token(cancel);
-        if let Some(ms) = request.timeout_ms.or(self.inner.config.default_timeout_ms) {
+            .with_tracer(&tracer)
+            .with_cancel_token(&cancel);
+        if let Some(ms) = limit_ms {
             budget = budget.with_deadline(Duration::from_millis(ms));
         }
         if let Some(steps) = request.max_steps.or(self.inner.config.default_max_steps) {
             budget = budget.with_max_steps(steps);
         }
-        budget
-    }
 
-    /// Pins a schema as a delta base: parse, canonicalize, run the full
-    /// pipeline once (unless the hash is already pinned), and remember its
-    /// reusable state under the canonical hash for `check_delta`.
-    fn handle_pin_base(&self, request: &Request) -> Response {
-        if self.is_standby() {
+        let plan = match self.plan(request) {
+            Ok(plan) => plan,
+            Err(response) => return *response,
+        };
+        if self.inner.poison.is_quarantined(plan.hash) {
             return Response::error(
                 request.id.clone(),
-                "standby: cannot pin delta bases; retry on the primary",
+                format!(
+                    "schema quarantined after repeated crashes (hash {:032x})",
+                    plan.hash
+                ),
             );
         }
-        let source = request.schema.as_deref().unwrap_or_default();
-        let schema = match cr_lang::parse_schema(source) {
-            Ok(s) => s,
-            Err(e) => return Response::error(request.id.clone(), format!("schema:{e}")),
+        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
+        self.inner.inflight.register(seq, cancel, deadline_left);
+        let _dereg = Dereg {
+            registry: &self.inner.inflight,
+            seq,
         };
-        let canonical = schema.canonical_form();
-        let hash_hex = format!("{:032x}", cr_core::canonical_text_hash(&canonical));
-        let already = {
-            let pinned = self.inner.pinned.lock().unwrap_or_else(|e| e.into_inner());
-            pinned.contains_key(&hash_hex)
+        let cx = Cx {
+            request,
+            budget,
+            wait: limit_ms.map_or(FOLLOWER_WAIT, Duration::from_millis),
         };
-        let (tracer, cancel) = self.delta_budget();
-        if !already {
-            let budget = self.budget_for(request, &tracer, &cancel);
-            let ctx = match cr_delta::DeltaContext::from_canonical(
-                &canonical,
-                &Default::default(),
-                &budget,
-            ) {
-                Ok(ctx) => ctx,
-                Err(e) => {
-                    let answer = eval::delta_error_answer(e, &budget);
-                    let mut report =
-                        cr_core::run_report(&budget, "pin_base", answer.status.as_str());
-                    report.target = hash_hex.clone();
-                    report.trace_id = request.trace_id.clone();
-                    return Response {
-                        id: request.id.clone(),
-                        status: answer.status,
-                        verdict: None,
-                        detail: answer.detail,
-                        cached: false,
-                        schema_hash: Some(hash_hex),
-                        report: Some(report),
-                        repl: None,
-                        trace_id: None,
-                    };
+        // The budget stays outside the unwind boundary, so on abort the
+        // partial per-request report survives.
+        let work = std::panic::catch_unwind(AssertUnwindSafe(|| match &plan.work {
+            Work::Pin(canonical) => self.pin(canonical, plan.hash, &cx.budget),
+            Work::Verdict(question) => self.verdict(question, &cx),
+        }));
+        let (reply, aborted) = match work {
+            Ok(reply) => (reply, false),
+            Err(panic) => {
+                if self.inner.poison.note_crash(plan.hash) {
+                    self.inner.aggregate.add(Counter::PoisonQuarantined, 1);
                 }
-            };
-            self.pin_context(Arc::new(ctx));
-        }
-        let budget = self.budget_for(request, &tracer, &cancel);
-        let mut report = cr_core::run_report(&budget, "pin_base", "ok");
-        report.target = hash_hex.clone();
+                let message = format!("panic: {}", panic_text(&*panic));
+                (Reply::fresh(eval::Answer::error(message)), true)
+            }
+        };
+
+        let Reply {
+            answer,
+            cached,
+            leader,
+        } = reply;
+        let outcome = if aborted {
+            "aborted"
+        } else {
+            answer.status.as_str()
+        };
+        let mut report = cr_core::run_report(&cx.budget, request.op.as_str(), outcome);
+        report.aborted = aborted;
+        report.target = format!("{:032x}", plan.target);
         report.trace_id = request.trace_id.clone();
+        report.leader_trace_id = leader;
+        let mut detail = answer.detail;
+        detail.extend(plan.note);
         Response {
             id: request.id.clone(),
-            status: Status::Ok,
-            verdict: Some("pinned".to_string()),
-            detail: Vec::new(),
-            cached: already,
-            schema_hash: Some(hash_hex),
+            status: answer.status,
+            verdict: (!answer.verdict.is_empty()).then_some(answer.verdict),
+            detail,
+            cached,
+            schema_hash: Some(format!("{:032x}", plan.hash)),
             report: Some(report),
             repl: None,
             trace_id: None,
         }
     }
 
+    /// Plans a reasoning request: parses what it names and picks the work
+    /// that answers it. `Err` is the response owed instead: a malformed
+    /// schema or diff, an unknown delta base, or a standby's refusal.
+    fn plan(&self, request: &Request) -> Result<Plan, Box<Response>> {
+        let error = |message: String| Box::new(Response::error(request.id.clone(), message));
+        let mut note = None;
+        match request.op {
+            Op::PinBase if self.is_standby() => {
+                return Err(error(
+                    "standby: cannot pin delta bases; retry on the primary".to_string(),
+                ));
+            }
+            Op::CheckDelta => {
+                if self.is_standby() {
+                    return Err(error(
+                        "standby: cannot check deltas; retry on the primary".to_string(),
+                    ));
+                }
+                let base_hash = request.base.as_deref().unwrap_or_default();
+                let base = self.pinned().get(base_hash).cloned();
+                if let Some(base) = base {
+                    let diff = cr_lang::SchemaDiff::parse_lines(&request.diff)
+                        .map_err(|e| error(format!("diff: {e}")))?;
+                    // The verdict is about the *edited* schema: `schema_hash`
+                    // carries its hash (also the auto-pinned context's key,
+                    // so a client can chain the next edit off the
+                    // response), while the report target names the base.
+                    let edited = cr_lang::apply_diff(base.canonical(), &diff)
+                        .map_err(|e| error(format!("delta: {e}")))?;
+                    return Ok(Plan {
+                        hash: cr_core::canonical_text_hash(&edited),
+                        target: base.hash(),
+                        note,
+                        work: Work::Verdict(Question {
+                            key: CacheKey {
+                                canonical: base.canonical().to_string(),
+                                question: format!("delta {base_hash} {:032x}", diff.hash()),
+                            },
+                            shard: base.hash(),
+                            compute: Compute::Delta { base, diff },
+                        }),
+                    });
+                }
+                // Base miss. With a schema in hand the request is still
+                // answered — as a check of that schema — so an evicted or
+                // never-pinned base degrades performance, not availability.
+                self.inner.aggregate.add(Counter::DeltaFallbacks, 1);
+                if request.schema.is_none() {
+                    return Err(error(format!(
+                        "unknown delta base {base_hash}; pin_base it first or include a \"schema\" field"
+                    )));
+                }
+                note = Some(format!("delta-fallback: base {base_hash} not pinned"));
+            }
+            _ => {}
+        }
+        let schema = cr_lang::parse_schema(request.schema.as_deref().unwrap_or_default())
+            .map_err(|e| error(format!("schema:{e}")))?;
+        let canonical = schema.canonical_form();
+        let hash = cr_core::canonical_text_hash(&canonical);
+        let (question, compute) = match request.op {
+            Op::PinBase => {
+                return Ok(Plan {
+                    hash,
+                    target: hash,
+                    note,
+                    work: Work::Pin(canonical),
+                })
+            }
+            Op::Implies => (
+                format!("implies {}", request.query.join(" ")),
+                Compute::Implies(schema),
+            ),
+            // `check`, or a delta whose base is not pinned.
+            _ => (
+                "check".to_string(),
+                Compute::Check {
+                    schema,
+                    certify: request.certify,
+                },
+            ),
+        };
+        Ok(Plan {
+            hash,
+            target: hash,
+            note,
+            work: Work::Verdict(Question {
+                key: CacheKey {
+                    canonical,
+                    question,
+                },
+                shard: hash,
+                compute,
+            }),
+        })
+    }
+
+    /// `pin_base`'s work: runs the full pipeline once on a schema not yet
+    /// pinned and remembers its reusable state for `check_delta`.
+    fn pin(&self, canonical: &str, hash: u128, budget: &Budget) -> Reply {
+        let pinned = eval::Answer {
+            status: Status::Ok,
+            verdict: "pinned".to_string(),
+            detail: Vec::new(),
+        };
+        if self.pinned().contains_key(&format!("{hash:032x}")) {
+            return Reply {
+                answer: pinned,
+                cached: true,
+                leader: None,
+            };
+        }
+        match cr_delta::DeltaContext::from_canonical(canonical, &Default::default(), budget) {
+            Ok(ctx) => {
+                self.pin_context(Arc::new(ctx));
+                Reply::fresh(pinned)
+            }
+            Err(e) => Reply::fresh(eval::delta_error_answer(e, budget)),
+        }
+    }
+
+    fn pinned(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<cr_delta::DeltaContext>>> {
+        self.inner.pinned.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Remembers a delta context under its canonical hash, evicting an
     /// arbitrary entry when the registry is full.
     fn pin_context(&self, ctx: Arc<cr_delta::DeltaContext>) {
-        let mut pinned = self.inner.pinned.lock().unwrap_or_else(|e| e.into_inner());
+        let mut pinned = self.pinned();
         if pinned.len() >= MAX_PINNED_BASES && !pinned.contains_key(&ctx.hash_hex()) {
             if let Some(k) = pinned.keys().next().cloned() {
                 pinned.remove(&k);
@@ -824,501 +927,193 @@ impl Server {
         pinned.insert(ctx.hash_hex(), ctx);
     }
 
-    /// The `check_delta` path: pinned-base lookup → delta cache lookup →
-    /// `cr-delta` reuse pipeline → cache/persist under (base hash, diff
-    /// hash) → auto-pin the edited schema for the next edit. Falls back to
-    /// a full check when the base is unknown (and the request carries a
-    /// schema), when the diff is structural, or when invalidation blows
-    /// past the threshold — transparently: the client still gets a
-    /// verdict, plus a detail line naming the fallback.
-    fn handle_check_delta(&self, request: &Request, queue_delay: Duration) -> Response {
-        if self.is_standby() {
-            return Response::error(
-                request.id.clone(),
-                "standby: cannot check deltas; retry on the primary",
-            );
-        }
-        let base_hash = request.base.clone().unwrap_or_default();
-        let base = {
-            let pinned = self.inner.pinned.lock().unwrap_or_else(|e| e.into_inner());
-            pinned.get(&base_hash).cloned()
-        };
-        let Some(base) = base else {
-            // Base miss. With a schema in hand the check still succeeds —
-            // as a plain full check — so an evicted or never-pinned base
-            // degrades performance, not availability.
-            self.inner.aggregate.add(Counter::DeltaFallbacks, 1);
-            if request.schema.is_some() {
-                let mut full = request.clone();
-                full.op = Op::Check;
-                let mut response = self.reason(&full, queue_delay);
-                response
-                    .detail
-                    .push(format!("delta-fallback: base {base_hash} not pinned"));
-                return response;
-            }
-            return Response::error(
-                request.id.clone(),
-                format!("unknown delta base {base_hash}; pin_base it first or include a \"schema\" field"),
-            );
-        };
-
-        let diff = match cr_lang::SchemaDiff::parse_lines(&request.diff) {
-            Ok(d) => d,
-            Err(e) => return Response::error(request.id.clone(), format!("diff: {e}")),
-        };
-        let diff_hash = format!("{:032x}", diff.hash());
-        // The verdict is about the *edited* schema: `schema_hash` carries
-        // its hash (which is also the auto-pinned context's key, so a
-        // client can chain the next edit off the response), while the
-        // report target keeps naming the base the delta ran against.
-        let edited_hash_hex = match cr_lang::apply_diff(base.canonical(), &diff) {
-            Ok(c) => format!("{:032x}", cr_core::canonical_text_hash(&c)),
-            Err(e) => return Response::error(request.id.clone(), format!("delta: {e}")),
-        };
-        let key = CacheKey {
-            canonical: base.canonical().to_string(),
-            question: format!("delta {base_hash} {diff_hash}"),
-        };
-        let shard_hash = base.hash();
-
-        let (tracer, cancel) = self.delta_budget();
-        let budget = self.budget_for(request, &tracer, &cancel);
-
-        // Delta verdicts are cached and persisted like any other verdict,
-        // keyed by (base canonical, "delta <base> <diff>") — warm restarts
-        // and standbys replay them from the same log records.
-        if let Some(hit) = self.inner.cache.get(shard_hash, &key) {
-            tracer.add(Counter::CacheHits, 1);
-            self.inner.aggregate.add(Counter::CacheHits, 1);
-            self.inner.aggregate.add(Counter::DeltaHits, 1);
-            let mut report = cr_core::run_report(&budget, "check_delta", hit.status.as_str());
-            report.target = base_hash.clone();
-            report.trace_id = request.trace_id.clone();
-            return Response {
-                id: request.id.clone(),
-                status: hit.status,
-                verdict: (!hit.verdict.is_empty()).then(|| hit.verdict.clone()),
-                detail: hit.detail,
-                cached: true,
-                schema_hash: Some(edited_hash_hex),
-                report: Some(report),
-                repl: None,
-                trace_id: None,
-            };
-        }
-        {
-            let store = self.read_store();
-            if let Some(hit) = store
-                .as_ref()
-                .and_then(|s| s.lookup(&key.canonical, &key.question))
-            {
-                tracer.add(Counter::StoreHits, 1);
-                self.inner.aggregate.add(Counter::StoreHits, 1);
-                self.inner.aggregate.add(Counter::DeltaHits, 1);
-                let mut report = cr_core::run_report(&budget, "check_delta", hit.status.as_str());
-                report.target = base_hash.clone();
-                report.trace_id = request.trace_id.clone();
-                let response = Response {
-                    id: request.id.clone(),
-                    status: hit.status,
-                    verdict: (!hit.verdict.is_empty()).then(|| hit.verdict.clone()),
-                    detail: hit.detail.clone(),
-                    cached: true,
-                    schema_hash: Some(edited_hash_hex.clone()),
-                    report: Some(report),
-                    repl: None,
-                    trace_id: None,
-                };
-                self.inner.cache.insert(shard_hash, key, hit);
-                return response;
-            }
-        }
-        tracer.add(Counter::CacheMisses, 1);
-        self.inner.aggregate.add(Counter::CacheMisses, 1);
-
-        let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eval::check_delta(&base, &diff, &budget)
-        }));
-        let evaluated = match work {
-            Ok(e) => e,
-            Err(panic) => {
-                return Response::error(
-                    request.id.clone(),
-                    format!("panic: {}", panic_text(&panic)),
-                )
-            }
-        };
-        let (answer, fallback_line) = match evaluated {
-            Ok(eval::DeltaEval::Answered { answer, next }) => {
-                self.inner.aggregate.add(Counter::DeltaHits, 1);
-                if answer.cacheable() {
-                    let verdict = CachedVerdict {
-                        status: answer.status,
-                        verdict: answer.verdict.clone(),
-                        detail: answer.detail.clone(),
-                        trace_id: request.trace_id.clone(),
-                    };
-                    // Certify against the *edited* schema, re-reasoned from
-                    // its text: the record must only reach disk (and
-                    // standbys) if the edited schema independently proves
-                    // the same unsat set.
-                    if self.read_store().is_some() {
-                        let certified = cr_core::certify_check(next.schema(), &budget);
-                        self.persist_certified(&certified, &key, &verdict, &tracer);
-                    }
-                    let evicted = self.inner.cache.insert(shard_hash, key, verdict);
-                    if evicted > 0 {
-                        tracer.add(Counter::CacheEvictions, evicted);
-                        self.inner.aggregate.add(Counter::CacheEvictions, evicted);
-                    }
-                }
-                self.pin_context(Arc::new(next));
-                (answer, None)
-            }
-            Ok(eval::DeltaEval::Fallback {
-                edited_canonical,
-                reason,
-            }) => {
-                self.inner.aggregate.add(Counter::DeltaFallbacks, 1);
-                let edited = match cr_lang::schema_from_canonical(&edited_canonical) {
-                    Ok(s) => s,
-                    Err(e) => return Response::error(request.id.clone(), format!("delta: {e}")),
-                };
-                // The full check caches under the edited schema's own
-                // (canonical, "check") key — shared with plain `check`
-                // requests for the same schema.
-                let edited_hash = cr_core::canonical_text_hash(&edited_canonical);
-                let full_key = CacheKey {
-                    canonical: edited_canonical,
-                    question: "check".to_string(),
-                };
-                let mut full = request.clone();
-                full.op = Op::Check;
-                // Nothing here certifies the answer for the client, so only
-                // a durable store's gate may ask for a certification.
-                full.certify = false;
-                let (answer, _) =
-                    self.compute_fresh(&full, &edited, &budget, edited_hash, full_key, &tracer);
-                (answer, Some(format!("delta-fallback: {reason}")))
-            }
-            Err(answer) => (answer, None),
-        };
-        let invalidated = tracer.counter(Counter::AtomsInvalidated);
-        if invalidated > 0 {
-            self.inner
-                .aggregate
-                .add(Counter::AtomsInvalidated, invalidated);
-        }
-        let mut report = cr_core::run_report(&budget, "check_delta", answer.status.as_str());
-        report.target = base_hash.clone();
-        report.trace_id = request.trace_id.clone();
-        let mut detail = answer.detail;
-        if let Some(line) = fallback_line {
-            detail.push(line);
-        }
-        Response {
-            id: request.id.clone(),
-            status: answer.status,
-            verdict: (!answer.verdict.is_empty()).then(|| answer.verdict.clone()),
-            detail,
-            cached: false,
-            schema_hash: Some(edited_hash_hex),
-            report: Some(report),
-            repl: None,
-            trace_id: None,
-        }
-    }
-
-    /// The reasoning path: deadline propagation → parse schema → quarantine
-    /// gate → cache lookup → (on miss) singleflight + the governed pipeline
-    /// → cache fill → response with embedded RunReport.
-    fn reason(&self, request: &Request, queue_delay: Duration) -> Response {
-        // Per-request observability: the embedded RunReport accounts for
-        // exactly this request's work (including whether the verdict came
-        // from cache).
-        let tracer = Tracer::new(Box::new(NullSink));
-        // Per-request cancellation: the supervisor can trip exactly this
-        // request (wedge detection) without aborting its neighbors. The
-        // server-wide token's state is inherited at pickup.
-        let cancel = CancelToken::new();
-        if self.inner.cancel.is_cancelled() {
-            cancel.cancel();
-        }
-        let mut budget = Budget::unlimited()
-            .with_tracer(&tracer)
-            .with_cancel_token(&cancel);
-        // Deadline propagation: queueing already consumed part of the
-        // end-to-end deadline; what remains caps every other limit. Zero
-        // left means the work is sheddable without touching the pipeline.
-        let deadline_left = request
-            .deadline_ms
-            .map(|ms| Duration::from_millis(ms).saturating_sub(queue_delay));
-        if let Some(left) = deadline_left {
-            if left.is_zero() {
-                return Response::shed(request.id.clone(), "deadline expired while queued");
-            }
-        }
-        let mut effective_ms = request.timeout_ms.or(self.inner.config.default_timeout_ms);
-        if let Some(left) = deadline_left {
-            let left_ms = u64::try_from(left.as_millis()).unwrap_or(u64::MAX);
-            effective_ms = Some(effective_ms.map_or(left_ms, |t| t.min(left_ms)));
-        }
-        if let Some(ms) = effective_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(steps) = request.max_steps.or(self.inner.config.default_max_steps) {
-            budget = budget.with_max_steps(steps);
-        }
-
-        let source = request.schema.as_deref().unwrap_or_default();
-        let schema = match cr_lang::parse_schema(source) {
-            Ok(s) => s,
-            Err(e) => {
-                return Response::error(request.id.clone(), format!("schema:{e}"));
-            }
-        };
-        let canonical = schema.canonical_form();
-        let schema_hash = cr_core::canonical_hash(&schema);
-        let question = match request.op {
-            Op::Check => "check".to_string(),
-            Op::Implies => format!("implies {}", request.query.join(" ")),
-            _ => unreachable!("reason() only sees check/implies"),
-        };
-        let key = CacheKey {
-            canonical,
-            question,
-        };
-
-        if self.inner.poison.is_quarantined(schema_hash) {
-            return Response::error(
-                request.id.clone(),
-                format!("schema quarantined after repeated crashes (hash {schema_hash:032x})"),
-            );
-        }
-
-        // Wedge watch: while this request runs, the supervisor may trip
-        // its token if it blows past deadline + grace.
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .inflight
-            .register(seq, cancel.clone(), deadline_left);
-        let _dereg = Dereg {
-            registry: &self.inner.inflight,
-            seq,
-        };
-
-        // Everything downstream of the parse — cache traffic, the reasoning
-        // pipeline, certification — runs under catch_unwind: a panic (a
-        // bug, or an injected fault) must cost exactly one response, not a
-        // worker's accumulated trace counters. The tracer and budget stay
-        // outside, so on abort the partial per-request report survives.
-        let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(hit) = self.inner.cache.get(schema_hash, &key) {
-                tracer.add(Counter::CacheHits, 1);
-                self.inner.aggregate.add(Counter::CacheHits, 1);
-                // The cached verdict remembers which request computed it;
-                // surface that as the hit's leader trace.
-                let leader = hit.trace_id.clone();
-                return (
-                    eval::Answer {
-                        status: hit.status,
-                        verdict: hit.verdict,
-                        detail: hit.detail,
-                    },
-                    true,
-                    leader,
-                    None,
-                );
+    /// The verdict path `check`, `implies` and `check_delta` share, in
+    /// order: cache, store read-through, standby refusal, singleflight,
+    /// compute (which certifies, persists and fills the cache), and last
+    /// the certification a `certify:true` check asked for.
+    fn verdict(&self, question: &Question, cx: &Cx<'_>) -> Reply {
+        let tracer = cx.budget.tracer();
+        let (mut reply, certified) = 'found: {
+            if let Some(hit) = self.inner.cache.get(question.shard, &question.key) {
+                break 'found (self.served(question, tracer, Counter::CacheHits, hit), None);
             }
             // Read-through: an LRU eviction must not force a recomputation
             // while the verdict sits on disk.
-            {
-                let store = self.read_store();
-                if let Some(hit) = store
-                    .as_ref()
-                    .and_then(|s| s.lookup(&key.canonical, &key.question))
-                {
-                    tracer.add(Counter::StoreHits, 1);
-                    self.inner.aggregate.add(Counter::StoreHits, 1);
-                    let leader = hit.trace_id.clone();
-                    let answer = eval::Answer {
-                        status: hit.status,
-                        verdict: hit.verdict.clone(),
-                        detail: hit.detail.clone(),
-                    };
-                    self.inner.cache.insert(schema_hash, key.clone(), hit);
-                    return (answer, true, leader, None);
-                }
+            let stored = self
+                .read_store()
+                .as_ref()
+                .and_then(|s| s.lookup(&question.key.canonical, &question.key.question));
+            if let Some(hit) = stored {
+                self.inner
+                    .cache
+                    .insert(question.shard, question.key.clone(), hit.clone());
+                break 'found (self.served(question, tracer, Counter::StoreHits, hit), None);
             }
-            tracer.add(Counter::CacheMisses, 1);
-            self.inner.aggregate.add(Counter::CacheMisses, 1);
+            self.count(tracer, Counter::CacheMisses, 1);
             // A standby serves what was replicated but never computes: a
             // fresh verdict here would fork the store the moment the real
             // primary certifies a different trace for the same question.
             if self.is_standby() {
-                return (
-                    eval::Answer {
-                        status: Status::Error,
-                        verdict: String::new(),
-                        detail: vec![
-                            "standby: verdict not replicated yet; retry on the primary or after promotion"
-                                .to_string(),
-                        ],
-                    },
-                    false,
-                    None,
-                    None,
-                );
+                let refusal =
+                    "standby: verdict not replicated yet; retry on the primary or after promotion";
+                break 'found (Reply::fresh(eval::Answer::error(refusal.to_string())), None);
             }
             // Coalesce concurrent identical work: followers wait for the
             // leader's verdict instead of burning a worker each on the
             // same EXPTIME question.
-            match self.inner.flights.begin(key.clone()) {
-                flight::Entry::Follower(f) => {
-                    let wait = effective_ms
-                        .map(Duration::from_millis)
-                        .unwrap_or(Duration::from_secs(30));
-                    match f.wait(wait) {
-                        Some(hit) => {
-                            tracer.add(Counter::RequestsCoalesced, 1);
-                            self.inner.aggregate.add(Counter::RequestsCoalesced, 1);
-                            // A coalesced follower inherited the leader's
-                            // verdict — and records whose computation it
-                            // rode (the id inside the published verdict).
-                            let leader = hit.trace_id.clone();
-                            (
-                                eval::Answer {
-                                    status: hit.status,
-                                    verdict: hit.verdict,
-                                    detail: hit.detail,
-                                },
-                                true,
-                                leader,
-                                None,
-                            )
-                        }
-                        // Leader died or we timed out first: compute it
-                        // ourselves under our own budget.
-                        None => {
-                            let (answer, certified) = self.compute_fresh(
-                                request,
-                                &schema,
-                                &budget,
-                                schema_hash,
-                                key,
-                                &tracer,
-                            );
-                            (answer, false, None, certified)
-                        }
+            match self.inner.flights.begin(question.key.clone()) {
+                flight::Entry::Follower(flight) => match flight.wait(cx.wait) {
+                    Some(hit) => (
+                        self.served(question, tracer, Counter::RequestsCoalesced, hit),
+                        None,
+                    ),
+                    // Leader died or we timed out first: compute it
+                    // ourselves under our own budget.
+                    None => {
+                        let (reply, certified, _) = self.compute(question, cx);
+                        (reply, certified)
                     }
-                }
+                },
                 flight::Entry::Leader(guard) => {
                     let started = Instant::now();
-                    let (answer, certified) =
-                        self.compute_fresh(request, &schema, &budget, schema_hash, key, &tracer);
-                    // Cost model: fresh-compute wall time by schema size,
+                    let (reply, certified, filled) = self.compute(question, cx);
+                    // Cost model: fresh-compute wall time by payload size,
                     // feeding the admission gate's can-it-fit estimate.
                     self.inner
                         .admission
-                        .note_compute_cost(source.len(), started.elapsed());
-                    let publish = answer.cacheable().then(|| CachedVerdict {
-                        status: answer.status,
-                        verdict: answer.verdict.clone(),
-                        detail: answer.detail.clone(),
-                        trace_id: request.trace_id.clone(),
-                    });
-                    guard.publish(publish);
-                    (answer, false, None, certified)
+                        .note_compute_cost(payload_len(cx.request), started.elapsed());
+                    guard.publish(filled);
+                    (reply, certified)
                 }
-            }
-        }));
-
-        let (mut answer, cached, leader_trace_id, certified) = match work {
-            Ok(result) => result,
-            Err(panic) => {
-                let msg = panic_text(&panic);
-                if self.inner.poison.note_crash(schema_hash) {
-                    self.inner.aggregate.add(Counter::PoisonQuarantined, 1);
-                }
-                let mut report = cr_core::run_report(&budget, request.op.as_str(), "aborted");
-                report.aborted = true;
-                report.target = format!("{schema_hash:032x}");
-                report.trace_id = request.trace_id.clone();
-                return Response {
-                    id: request.id.clone(),
-                    status: Status::Error,
-                    verdict: None,
-                    detail: vec![format!("panic: {msg}")],
-                    cached: false,
-                    schema_hash: Some(format!("{schema_hash:032x}")),
-                    report: Some(report),
-                    repl: None,
-                    trace_id: None,
-                };
             }
         };
-
-        if request.certify && request.op == Op::Check {
-            answer = self.certify_answer(&schema, &budget, answer, certified);
+        if let Compute::Check {
+            schema,
+            certify: true,
+        } = &question.compute
+        {
+            reply.answer = self.certify_answer(schema, &cx.budget, reply.answer, certified);
         }
+        reply
+    }
 
-        let mut report = cr_core::run_report(&budget, request.op.as_str(), answer.status.as_str());
-        report.target = format!("{schema_hash:032x}");
-        report.trace_id = request.trace_id.clone();
-        report.leader_trace_id = leader_trace_id;
-        Response {
-            id: request.id.clone(),
-            status: answer.status,
-            verdict: (!answer.verdict.is_empty()).then(|| answer.verdict.clone()),
-            detail: answer.detail,
-            cached,
-            schema_hash: Some(format!("{schema_hash:032x}")),
-            report: Some(report),
-            repl: None,
-            trace_id: None,
+    /// A verdict answered without computing it, from where `counter`
+    /// names: the cache, the store, or a coalesced leader's flight.
+    fn served(
+        &self,
+        question: &Question,
+        tracer: &Tracer,
+        counter: Counter,
+        hit: CachedVerdict,
+    ) -> Reply {
+        self.count(tracer, counter, 1);
+        if matches!(question.compute, Compute::Delta { .. }) {
+            self.inner.aggregate.add(Counter::DeltaHits, 1);
+        }
+        Reply {
+            answer: eval::Answer {
+                status: hit.status,
+                verdict: hit.verdict,
+                detail: hit.detail,
+            },
+            cached: true,
+            // The verdict remembers which request computed it; surface
+            // that as this request's leader trace.
+            leader: hit.trace_id,
         }
     }
 
-    /// Runs the governed pipeline for a cache-missed request and fills the
-    /// cache (and, for certified `check` verdicts, the durable store).
-    /// A `check` on a durable daemon, or one asking `certify`, also
-    /// certifies the reasoner that answered; that report comes back for
-    /// [`Server::certify_answer`].
-    fn compute_fresh(
+    /// Computes a missed question, persists the verdict if it certified,
+    /// and fills the cache. Returns the reply, the certification of the
+    /// reasoner that answered (for `certify:true`), and the verdict it
+    /// cached (for the flight's followers).
+    fn compute(
         &self,
-        request: &Request,
-        schema: &cr_core::Schema,
-        budget: &Budget,
-        schema_hash: u128,
-        key: CacheKey,
-        tracer: &Tracer,
-    ) -> (eval::Answer, Option<eval::Certification>) {
-        let (answer, certified) = match request.op {
-            Op::Check => {
-                let certify = request.certify || self.read_store().is_some();
-                eval::check_certified(schema, budget, certify)
+        question: &Question,
+        cx: &Cx<'_>,
+    ) -> (Reply, Option<eval::Certification>, Option<CachedVerdict>) {
+        let budget = &cx.budget;
+        let durable = self.read_store().is_some();
+        let (answer, certified) = match &question.compute {
+            // A durable store only takes certified verdicts, so a durable
+            // daemon certifies the reasoner that answered, as `certify`
+            // does.
+            Compute::Check { schema, certify } => {
+                eval::check_certified(schema, budget, *certify || durable)
             }
-            Op::Implies => (eval::implies(schema, &request.query, budget), None),
-            _ => unreachable!("only check/implies compute"),
+            Compute::Implies(schema) => (eval::implies(schema, &cx.request.query, budget), None),
+            Compute::Delta { base, diff } => {
+                let evaluated = eval::check_delta(base, diff, budget);
+                self.inner.aggregate.add(
+                    Counter::AtomsInvalidated,
+                    budget.tracer().counter(Counter::AtomsInvalidated),
+                );
+                match evaluated {
+                    Ok(eval::DeltaEval::Answered { answer, next }) => {
+                        self.inner.aggregate.add(Counter::DeltaHits, 1);
+                        // The store's gate re-reasons the *edited* schema
+                        // from its text: the record reaches disk (and
+                        // standbys) only if that independently proves the
+                        // same unsat set.
+                        let certified = (durable && answer.cacheable())
+                            .then(|| cr_core::certify_check(next.schema(), budget));
+                        self.pin_context(Arc::new(next));
+                        (answer, certified)
+                    }
+                    Ok(eval::DeltaEval::Fallback {
+                        edited_canonical,
+                        reason,
+                    }) => {
+                        self.inner.aggregate.add(Counter::DeltaFallbacks, 1);
+                        // A check of the edited schema, under its own
+                        // (canonical, "check") key: a verdict cached or
+                        // stored for it is reused, and the delta key keeps
+                        // only what the delta path produced. Nothing here
+                        // certifies for the client.
+                        let mut reply = match cr_lang::schema_from_canonical(&edited_canonical) {
+                            Ok(schema) => self.verdict(
+                                &Question {
+                                    shard: cr_core::canonical_text_hash(&edited_canonical),
+                                    key: CacheKey {
+                                        canonical: edited_canonical,
+                                        question: "check".to_string(),
+                                    },
+                                    compute: Compute::Check {
+                                        schema,
+                                        certify: false,
+                                    },
+                                },
+                                cx,
+                            ),
+                            Err(e) => Reply::fresh(eval::Answer::error(format!("delta: {e}"))),
+                        };
+                        reply
+                            .answer
+                            .detail
+                            .push(format!("delta-fallback: {reason}"));
+                        return (reply, None, None);
+                    }
+                    Err(answer) => (answer, None),
+                }
+            }
         };
-        if answer.cacheable() {
-            let verdict = CachedVerdict {
-                status: answer.status,
-                verdict: answer.verdict.clone(),
-                detail: answer.detail.clone(),
-                trace_id: request.trace_id.clone(),
-            };
+        let filled = answer.cacheable().then(|| CachedVerdict {
+            status: answer.status,
+            verdict: answer.verdict.clone(),
+            detail: answer.detail.clone(),
+            trace_id: cx.request.trace_id.clone(),
+        });
+        if let Some(verdict) = &filled {
             if let Some(certified) = &certified {
-                self.persist_certified(certified, &key, &verdict, tracer);
+                self.persist_certified(certified, &question.key, verdict, budget.tracer());
             }
-            let evicted = self.inner.cache.insert(schema_hash, key, verdict);
-            if evicted > 0 {
-                tracer.add(Counter::CacheEvictions, evicted);
-                self.inner.aggregate.add(Counter::CacheEvictions, evicted);
-            }
+            let evicted =
+                self.inner
+                    .cache
+                    .insert(question.shard, question.key.clone(), verdict.clone());
+            self.count(budget.tracer(), Counter::CacheEvictions, evicted);
         }
-        (answer, certified)
+        (Reply::fresh(answer), certified, filled)
     }
 
     /// Re-validates a `check` answer: the independent certificate chain
@@ -1335,7 +1130,7 @@ impl Server {
         answer: eval::Answer,
         fresh: Option<eval::Certification>,
     ) -> eval::Answer {
-        if !matches!(answer.status, Status::Ok | Status::Negative) {
+        if !answer.cacheable() {
             return answer;
         }
         let certified = match fresh.unwrap_or_else(|| cr_core::certify_check(schema, budget)) {
@@ -1347,11 +1142,7 @@ impl Server {
                         verdict: String::new(),
                         detail: vec![line],
                     },
-                    None => eval::Answer {
-                        status: Status::Error,
-                        verdict: String::new(),
-                        detail: vec![format!("certify: {e}")],
-                    },
+                    None => eval::Answer::error(format!("certify: {e}")),
                 };
             }
         };
@@ -1368,26 +1159,23 @@ impl Server {
             };
         }
         if certified.unsat_classes != claimed_unsat {
-            return eval::Answer {
-                status: Status::Error,
-                verdict: String::new(),
-                detail: vec![format!(
-                    "certify: verdict mismatch (answer claims unsat [{}], certificates say [{}])",
-                    claimed_unsat.join(", "),
-                    certified.unsat_classes.join(", ")
-                )],
-            };
+            return eval::Answer::error(format!(
+                "certify: verdict mismatch (answer claims unsat [{}], certificates say [{}])",
+                claimed_unsat.join(", "),
+                certified.unsat_classes.join(", ")
+            ));
         }
         answer
     }
 
-    /// Durably records a freshly computed `check` verdict — but only when
-    /// it passed certification: `certified`, the certificate chain run on
-    /// the reasoner that computed it, must pass and its unsat set agree
-    /// with the answer. An uncertifiable verdict is still served and cached
-    /// in memory (the governor may simply have had no budget left for the
-    /// certificate pass); it just never reaches disk, so everything a warm
-    /// restart — or a standby mirroring the log — serves was once proven.
+    /// Durably records a freshly computed verdict — but only when it
+    /// passed certification: `certified`, the certificate chain run on the
+    /// reasoner that computed it (or, for a delta, on the edited schema),
+    /// must pass and its unsat set agree with the answer. An uncertifiable
+    /// verdict is still served and cached in memory (the governor may
+    /// simply have had no budget left for the certificate pass); it just
+    /// never reaches disk, so everything a warm restart — or a standby
+    /// mirroring the log — serves was once proven.
     fn persist_certified(
         &self,
         certified: &eval::Certification,
@@ -1407,17 +1195,24 @@ impl Server {
         }
         match store.persist(&key.canonical, &key.question, verdict) {
             Ok(outcome) => {
-                tracer.add(Counter::StoreWrites, 1);
-                self.inner.aggregate.add(Counter::StoreWrites, 1);
-                if outcome.compacted {
-                    tracer.add(Counter::StoreCompactions, 1);
-                    self.inner.aggregate.add(Counter::StoreCompactions, 1);
-                }
+                self.count(tracer, Counter::StoreWrites, 1);
+                self.count(
+                    tracer,
+                    Counter::StoreCompactions,
+                    u64::from(outcome.compacted),
+                );
             }
             Err(_) => {
                 self.inner.store_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Bumps `counter` by `n` in the request's report and in the server's
+    /// aggregate.
+    fn count(&self, tracer: &Tracer, counter: Counter, n: u64) {
+        tracer.add(counter, n);
+        self.inner.aggregate.add(counter, n);
     }
 
     fn stats_response(&self, id: &str) -> Response {
@@ -1475,15 +1270,9 @@ impl Server {
             ));
         }
         Response {
-            id: id.to_string(),
-            status: Status::Ok,
-            verdict: Some("stats".to_string()),
             detail,
-            cached: false,
-            schema_hash: None,
             report: Some(report),
-            repl: None,
-            trace_id: None,
+            ..Response::ok(id, "stats")
         }
     }
 
@@ -1557,12 +1346,7 @@ impl Server {
             store_errors: self.inner.store_errors.load(Ordering::Relaxed),
             repl,
             quarantined: self.inner.poison.quarantined_hashes(),
-            pinned_bases: self
-                .inner
-                .pinned
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len(),
+            pinned_bases: self.pinned().len(),
         }
     }
 
@@ -1590,7 +1374,7 @@ impl Server {
                 // Contain a panicking tick (injected or real): the
                 // supervisor must outlive its own faults to keep the pool
                 // honest.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     server.supervise_tick();
                 }));
             })
@@ -1743,7 +1527,7 @@ impl Server {
                         // Contain scrape faults (injected or real): a
                         // panicking scrape costs that scrape, never the
                         // listener — and never a request.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             server.handle_scrape(stream);
                         }));
                     }
@@ -1893,81 +1677,37 @@ impl Server {
     // Transports
     // ------------------------------------------------------------------
 
-    /// Parses and submits a request line to the pool; the response line
-    /// (with trailing newline) is written to `out`. Admission runs here,
-    /// before the queue: expired or unfittable deadlines and overload
+    /// Admits a request line and submits it to the pool; the response
+    /// line (with trailing newline) is written to `out`. Admission runs
+    /// here, before the queue: expired or unfittable deadlines and overload
     /// sheds are answered immediately (on the caller's thread) with a
     /// retryable `shed` response — bounded memory under overload is the
     /// contract.
     fn dispatch(&self, line: String, out: &Arc<Mutex<dyn Write + Send>>) {
-        let mut request = match Request::parse(&line) {
-            Ok(r) => r,
-            Err(msg) => {
-                self.inner.aggregate.add(Counter::RequestsServed, 1);
-                self.inner.telemetry.record(0, false);
-                write_response(out, &Response::error(Request::salvage_id(&line), msg));
-                return;
-            }
+        let request = match self.admit_line(&line, true) {
+            Ok(request) => request,
+            Err(response) => return write_response(out, &response),
         };
-        // Mint the trace id at admission — before the gate — so even a
-        // response shed right here carries an id the client can quote.
-        if request.trace_id.is_none() {
-            request.trace_id = Some(cr_trace::mint_trace_id());
-        }
-        if matches!(
-            request.op,
-            Op::Check | Op::Implies | Op::PinBase | Op::CheckDelta
-        ) {
-            // Delta requests carry their cost in the diff (plus an optional
-            // fallback schema); screen on the total payload either way.
-            let schema_len = request.schema.as_deref().map_or(0, str::len)
-                + request.diff.iter().map(String::len).sum::<usize>();
-            if let Admit::Shed { reason, deadline } =
-                self.inner
-                    .admission
-                    .admit(request.deadline_ms, request.priority, schema_len)
-            {
-                self.count_shed(deadline);
-                let mut response = Response::shed(request.id.clone(), reason);
-                response.trace_id = request.trace_id.clone();
-                write_response(out, &response);
-                return;
-            }
-        }
         let id = request.id.clone();
         let trace_id = request.trace_id.clone();
         let server = self.clone();
         let writer = Arc::clone(out);
         let enqueued = Instant::now();
         let submitted = self.inner.pool.try_submit(Box::new(move || {
-            let queue_delay = enqueued.elapsed();
-            // Last line of defense: even a panic that escapes the reasoning
-            // path's own containment (e.g. in canonicalization, which runs
-            // before it) must still cost the client exactly one error
-            // response, never a missing reply.
-            let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                server.process_picked(&request, queue_delay)
-            }));
-            let response = work.unwrap_or_else(|panic| {
-                Response::error(request.id.clone(), format!("panic: {}", panic_text(&panic)))
-            });
+            let response = server.process_contained(&request, enqueued.elapsed());
             write_response(&writer, &response);
         }));
-        match submitted {
-            Ok(()) => {}
+        let mut refusal = match submitted {
+            Ok(()) => return,
             Err(SubmitError::QueueFull) => {
                 self.count_shed(false);
                 self.inner.admission.note_overload();
-                let mut response = Response::shed(id, "server overloaded: request queue is full");
-                response.trace_id = trace_id;
-                write_response(out, &response);
+                Response::shed(id, "server overloaded: request queue is full")
             }
-            Err(SubmitError::ShuttingDown) => {
-                let mut response = Response::error(id, "server is shutting down");
-                response.trace_id = trace_id;
-                write_response(out, &response);
-            }
-        }
+            Err(SubmitError::ShuttingDown) => Response::error(id, "server is shutting down"),
+        };
+        refusal.trace_id = trace_id;
+        write_response(out, &refusal);
     }
 
     /// Counts one shed answered outside `process_picked` (admission gate
@@ -2104,6 +1844,96 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// How long a coalesced follower waits for its leader when the request
+/// names no time limit.
+const FOLLOWER_WAIT: Duration = Duration::from_secs(30);
+
+/// A reasoning op's plan: what its answer is about and the work that
+/// finds it. The ops differ only here; the envelope and the verdict path
+/// are shared.
+struct Plan {
+    /// Canonical hash of the schema the answer is about: the response's
+    /// `schema_hash`, and what quarantine counts a panic under (for a
+    /// delta, the edited schema).
+    hash: u128,
+    /// The report's target: `hash`, or the base a delta ran against.
+    target: u128,
+    work: Work,
+    /// A detail line the answer carries (a delta whose base is not
+    /// pinned, answered as a check).
+    note: Option<String>,
+}
+
+// `Verdict` dwarfs `Pin`, but a plan lives on one request's stack frame;
+// boxing it would add an allocation to the cache-hit path.
+#[allow(clippy::large_enum_variant)]
+enum Work {
+    /// `pin_base` runs the envelope only: the pinned registry is its cache.
+    Pin(String),
+    /// `check`, `implies` and `check_delta` take the verdict path.
+    Verdict(Question),
+}
+
+/// A question for the verdict path: its cache key, the hash that shards
+/// the key, and the computation a miss runs.
+struct Question {
+    key: CacheKey,
+    shard: u128,
+    compute: Compute,
+}
+
+/// The computation a missed question runs.
+enum Compute {
+    /// `eval::check_certified`; `certify` is the client's `certify:true`.
+    Check {
+        schema: cr_core::Schema,
+        certify: bool,
+    },
+    /// `eval::implies` over the request's query.
+    Implies(cr_core::Schema),
+    /// `eval::check_delta` of a pinned base and a diff.
+    Delta {
+        base: Arc<cr_delta::DeltaContext>,
+        diff: cr_lang::SchemaDiff,
+    },
+}
+
+/// A reasoning request inside the envelope.
+struct Cx<'a> {
+    request: &'a Request,
+    budget: Budget,
+    /// How long a coalesced follower waits for its leader.
+    wait: Duration,
+}
+
+/// An answer and where it came from.
+struct Reply {
+    answer: eval::Answer,
+    /// Served without computing: from the cache, the store or a leader's
+    /// flight, or (for `pin_base`) a base already pinned.
+    cached: bool,
+    /// Trace id of the request whose computation a served verdict rode.
+    leader: Option<String>,
+}
+
+impl Reply {
+    fn fresh(answer: eval::Answer) -> Reply {
+        Reply {
+            answer,
+            cached: false,
+            leader: None,
+        }
+    }
+}
+
+/// A reasoning request's payload in bytes: its schema plus its diff
+/// lines. The admission gate screens on it, and the cost model is keyed
+/// by it.
+fn payload_len(request: &Request) -> usize {
+    request.schema.as_deref().map_or(0, str::len)
+        + request.diff.iter().map(String::len).sum::<usize>()
 }
 
 /// Drop guard deregistering a request from the in-flight registry even
@@ -2341,6 +2171,31 @@ mod tests {
         assert_eq!(r.status, Status::Error);
         assert!(r.detail[0].contains("pin_base"));
         assert_eq!(server.aggregate_counter(Counter::DeltaFallbacks), 2);
+        server.finish();
+    }
+
+    #[test]
+    fn a_check_delta_whose_deadline_ran_out_in_the_queue_is_shed() {
+        let server = Server::new(ServerConfig::default());
+        let mut pin = Request::new("p", Op::PinBase);
+        pin.schema = Some(FIG1_RELAXED.to_string());
+        let pinned = server.process_line(&pin.to_json());
+        let edited = FIG1_RELAXED.replace("card C in R.U1: 0..*", "card C in R.U1: 2..*");
+        let mut delta = Request::new("d", Op::CheckDelta);
+        delta.base = pinned.schema_hash;
+        delta.diff = delta_diff(FIG1_RELAXED, &edited);
+        delta.deadline_ms = Some(10);
+        let resp = server.process_picked(&delta, Duration::from_millis(20));
+        assert_eq!(resp.status, Status::Shed, "{:?}", resp.detail);
+        assert_eq!(
+            resp.detail,
+            vec!["deadline expired while queued".to_string()]
+        );
+        assert_eq!(
+            server.aggregate_counter(Counter::CacheMisses),
+            0,
+            "expired work must not reach the pipeline"
+        );
         server.finish();
     }
 

@@ -4,14 +4,15 @@
 //! Two registries, both consulted by the supervisor thread the server
 //! runs alongside its worker pool:
 //!
-//! * [`InflightRegistry`] — every `check`/`implies` request registers its
-//!   per-request [`CancelToken`] on pickup. A request that declared a
-//!   deadline gets a *wedge time*: deadline + grace. If it is still
-//!   running past that, the supervisor trips its token — the budget
-//!   governor then surfaces an honest `budget-exceeded`, never a wrong
-//!   verdict. Requests without a deadline are never wedge-tripped: from
-//!   outside, a legitimate EXPTIME run and a wedge are indistinguishable,
-//!   and only the client knows how long it is willing to wait.
+//! * [`InflightRegistry`] — every reasoning request (`check`, `implies`,
+//!   `pin_base`, `check_delta`) registers its per-request [`CancelToken`]
+//!   on pickup. A request that declared a deadline gets a *wedge time*:
+//!   deadline + grace. If it is still running past that, the supervisor
+//!   trips its token — the budget governor then surfaces an honest
+//!   `budget-exceeded`, never a wrong verdict. Requests without a deadline
+//!   are never wedge-tripped: from outside, a legitimate EXPTIME run and a
+//!   wedge are indistinguishable, and only the client knows how long it is
+//!   willing to wait.
 //! * [`PoisonTracker`] — schemas (by canonical hash) whose evaluation has
 //!   *panicked* repeatedly are quarantined: further requests for them get
 //!   an immediate error instead of crash-looping a worker. Panics, not

@@ -574,6 +574,108 @@ mod armed {
         }
     }
 
+    /// A server with Figure 1's relaxed schema pinned as a delta base, and
+    /// the `check_delta` that tightens it to unsatisfiable.
+    fn pinned_tightening() -> (Server, Request) {
+        let base_dsl = "class C; class D isa C; relationship R (U1: C, U2: D); \
+                        card C in R.U1: 0..*; card D in R.U2: 0..1;";
+        let edited_dsl = base_dsl.replace("C in R.U1: 0..*", "C in R.U1: 2..*");
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut pin = Request::new("pin".to_string(), Op::PinBase);
+        pin.schema = Some(base_dsl.to_string());
+        let pinned = server.process_request(&pin);
+        assert_eq!(pinned.verdict.as_deref(), Some("pinned"), "{pinned:?}");
+        let base = cr_lang::parse_schema(base_dsl).unwrap().canonical_form();
+        let edited = cr_lang::parse_schema(&edited_dsl).unwrap().canonical_form();
+        let mut delta = Request::new("delta".to_string(), Op::CheckDelta);
+        delta.base = pinned.schema_hash;
+        delta.diff = cr_lang::diff_canonical(&base, &edited).to_lines();
+        (server, delta)
+    }
+
+    /// Every reasoning op registers in flight, so `/metrics` counts it and
+    /// the second-SIGTERM cancel reaches it: a `check_delta` stalled in
+    /// the delta path answers `budget-exceeded` once cancelled, exactly as
+    /// a stalled `check` does, instead of finishing its verdict.
+    #[test]
+    fn cancel_inflight_reaches_a_running_check_delta() {
+        let _guard = serial();
+        let (delta_server, delta) = pinned_tightening();
+        let mut check = Request::new("check".to_string(), Op::Check);
+        check.schema = Some(FIGURE1.to_string());
+        let check_server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let cases = [
+            (delta_server, delta, "delta.diff", "delay(600)"),
+            (check_server, check, "core.expansion.step", "1#delay(600)"),
+        ];
+        for (server, request, site, spec) in cases {
+            cr_faults::install(&FaultPlan::new(0xCA9CE1).site(site, spec));
+            let running = {
+                let server = server.clone();
+                std::thread::spawn(move || server.process_request(&request))
+            };
+            let started = std::time::Instant::now();
+            while server.metrics_view().inflight == 0 {
+                assert!(
+                    started.elapsed() < Duration::from_millis(400),
+                    "[{site}] the running request never registered in flight"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(server.metrics_view().inflight, 1, "[{site}]");
+            server.cancel_inflight();
+            let resp = running.join().expect("the request thread answers");
+            cr_faults::clear();
+            assert_eq!(
+                resp.status.as_str(),
+                "budget-exceeded",
+                "[{site}] cancel must abort the request: {:?}",
+                resp.detail
+            );
+            assert_eq!(server.metrics_view().inflight, 0, "[{site}]");
+            server.finish();
+        }
+    }
+
+    /// A `check_delta` that panics is contained like any reasoning op: an
+    /// `aborted` report each time, counted against the edited schema,
+    /// until the schema is quarantined.
+    #[test]
+    fn a_panicking_check_delta_is_aborted_then_quarantined() {
+        let _guard = serial();
+        let (server, delta) = pinned_tightening();
+        cr_faults::install(&FaultPlan::new(0xDE17A).site("delta.diff", "panic(chaos: delta.diff)"));
+        let responses: Vec<_> = (0..4).map(|_| server.process_request(&delta)).collect();
+        cr_faults::clear();
+        for resp in &responses[..3] {
+            assert_eq!(resp.status.as_str(), "error");
+            assert_eq!(resp.detail, vec!["panic: chaos: delta.diff".to_string()]);
+            let report = resp
+                .report
+                .as_ref()
+                .expect("an aborted request still reports");
+            assert!(report.aborted);
+        }
+        let edited_hash = responses[0]
+            .schema_hash
+            .as_deref()
+            .expect("the edited hash");
+        assert!(
+            responses[3].detail[0].starts_with("schema quarantined")
+                && responses[3].detail[0].contains(edited_hash),
+            "quarantine is keyed by the edited schema: {:?}",
+            responses[3].detail
+        );
+        assert_eq!(stat_of(&server, "poison_quarantined"), 1);
+        server.finish();
+    }
+
     /// The same seed must replay the exact same injection pattern — the
     /// printed seed is enough to reproduce a chaos failure.
     #[test]
